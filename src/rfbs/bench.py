@@ -32,7 +32,6 @@ class BenchReport:
     max_ms: float
     throughput: float  # images/s
     input_shape: tuple
-    workers: int
     params: int
     flops: int
     machine: str
@@ -55,7 +54,7 @@ def bench_input(spec, size):
     return values.astype(np.float32)
 
 
-def bench_forward(spec, params, input_shape, iters=100, warmup=10, workers=1):
+def bench_forward(spec, params, input_shape, iters=100, warmup=10):
     """Time `iters` forward passes at batch 1 after `warmup` untimed ones."""
     if iters < 1 or warmup < 0:
         raise ShapeError(f"need iters >= 1 and warmup >= 0, got {iters}/{warmup}")
@@ -80,7 +79,6 @@ def bench_forward(spec, params, input_shape, iters=100, warmup=10, workers=1):
         max_ms=hi,
         throughput=1000.0 / mean,
         input_shape=x.shape,
-        workers=workers,
         params=cost.total_params,
         flops=cost.total_flops,
         machine=f"{platform.platform()} / {platform.processor() or 'unknown cpu'}",
@@ -91,7 +89,7 @@ def format_text(report):
     shape = "x".join(str(d) for d in report.input_shape)
     return (
         f"input {shape} (batch 1), {report.iterations} timed iterations after "
-        f"{report.warmup} warmup, workers={report.workers}\n"
+        f"{report.warmup} warmup\n"
         f"mean {report.mean_ms:.3f} ms  std {report.std_ms:.3f} ms  "
         f"min {report.min_ms:.3f} ms  max {report.max_ms:.3f} ms  "
         f"{report.throughput:.3f} images/s\n"
@@ -108,7 +106,6 @@ def format_tsv(report):
         f"# batch = {report.input_shape[0]}",
         f"# iterations = {report.iterations}",
         f"# warmup = {report.warmup}",
-        f"# workers = {report.workers}",
         f"# params = {report.params}",
         f"# flops = {report.flops}",
         f"# machine = {report.machine}",

@@ -64,7 +64,6 @@ _COMMANDS = {
         "size": (int, 256, "image size (even, >= 64)"),
         "seed": (int, 0, "generation/split seed"),
         "train-fraction": (float, 0.8, "train split fraction"),
-        "threads": (int, _THREADS, "worker count"),
     },
     "train": {
         "data": (str, None, "dataset directory"),
@@ -74,7 +73,6 @@ _COMMANDS = {
         "lr": (float, 1e-4, "initial learning rate"),
         "seed": (int, 0, "init/shuffle seed"),
         "log": (str, "", "train log path (default: <out>.log)"),
-        "threads": (int, _THREADS, "worker count"),
     },
     "eval": {
         "data": (str, None, "dataset directory"),
@@ -89,27 +87,23 @@ _COMMANDS = {
         "warmup": (int, 10, "untimed warmup iterations"),
         "size": (int, 256, "input H = W"),
         "tsv": (str, "", "also write per-iteration rows to this file"),
-        "threads": (int, _THREADS, "worker count"),
     },
     "analyze": {
         "arch": (str, "rfbsnet-desk", "architecture id"),
         "size": (int, 256, "input H = W"),
         "tsv": (str, "", "also write the rows to this file"),
-        "threads": (int, _THREADS, "worker count"),
     },
     "infer": {
         "ckpt": (str, None, "checkpoint path"),
         "in": (str, None, "input PGM image"),
         "out": (str, None, "output mask PGM"),
         "prob-out": (str, "", "optional RFT1 probability map output"),
-        "threads": (int, _THREADS, "worker count"),
     },
     "gradcheck": {
         "scale": (str, "small", "coordinate sampling: small|full"),
         "tol": (float, 1e-5, "whole-network tolerance"),
         "self-test-corrupt": (_parse_bool, False, "inject a broken gradient "
                               "(negative control; must fail)"),
-        "threads": (int, _THREADS, "worker count"),
     },
 }
 
@@ -246,6 +240,8 @@ def cmd_eval(cfg):
     part = dataset.part(cfg["split"])
     if not part:
         raise FormatError(f"split {cfg['split']!r} has no samples")
+    if cfg["threads"] < 1:
+        raise UsageError(f"--threads must be >= 1, got {cfg['threads']}")
     spec, params = _load_model(cfg["ckpt"])
     if cfg["threads"] > 1:
         with ThreadPoolExecutor(max_workers=cfg["threads"]) as pool:
@@ -268,7 +264,7 @@ def cmd_bench(cfg):
         )
     report = bench.bench_forward(
         spec, params, (1, spec.in_channels, cfg["size"], cfg["size"]),
-        iters=cfg["iters"], warmup=cfg["warmup"], workers=cfg["threads"],
+        iters=cfg["iters"], warmup=cfg["warmup"],
     )
     print(bench.format_text(report), end="")
     if cfg["tsv"]:

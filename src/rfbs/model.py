@@ -314,15 +314,12 @@ def forward(spec, params, x, keep_intermediates=False):
     """
     if not isinstance(x, np.ndarray) or x.ndim != 4:
         raise ShapeError("forward input must be a rank-4 NCHW array")
-    if x.shape[1] != spec.in_channels:
-        raise ShapeError(
-            f"input has {x.shape[1]} channels, {spec.arch_id} expects {spec.in_channels}"
-        )
     m = spec.total_downsampling_factor
     if x.shape[2] % m or x.shape[3] % m:
         raise ShapeError(
             f"input H and W must be multiples of {m}, got {x.shape[2]}x{x.shape[3]}"
         )
+    infer_shapes(spec, x.shape)  # channel, concat and add agreement, per node
     values = {spec.input_name: x}
     pool_argmax = {}
     for node in spec.nodes:
@@ -337,19 +334,13 @@ def forward(spec, params, x, keep_intermediates=False):
         elif node.kind == "relu":
             out = ops.relu(ins[0])
         elif node.kind == "concat":
-            if ins[0].shape[0] != ins[1].shape[0] or ins[0].shape[2:] != ins[1].shape[2:]:
-                raise ShapeError(f"node {node.name!r}: concat operand mismatch")
             out = np.concatenate(ins, axis=1)
         elif node.kind == "add":
-            if ins[0].shape != ins[1].shape:
-                raise ShapeError(f"node {node.name!r}: add operand mismatch")
             out = ins[0] + ins[1]
         elif node.kind == "upsample_nearest":
             out = ops.nearest_upsample2x(ins[0])
-        elif node.kind == "softmax":
+        else:  # softmax; infer_shapes rejects every other kind
             out = ops.softmax_channels(ins[0])
-        else:
-            raise ShapeError(f"unknown node kind {node.kind!r}")
         if not np.isfinite(out).all():
             raise NumericsError(f"non-finite activation in node {node.name!r}")
         values[node.name] = out
@@ -379,42 +370,28 @@ def backward(tape, loss_grad):
         up = upstream.pop(node.name, None)
         if up is None:
             continue
-
-        def send(target, grad):
-            if target in upstream:
-                upstream[target] = upstream[target] + grad
-            else:
-                upstream[target] = grad
-
-        if node.kind == "conv":
-            dx, dw, db = ops.conv2d_vjp(
-                values[node.inputs[0]], _conv_params(node, params), up
-            )
+        x = values[node.inputs[0]]
+        if node.kind in ("conv", "tconv"):
+            vjp = ops.conv2d_vjp if node.kind == "conv" else ops.transposed_conv2d_vjp
+            dx, dw, db = vjp(x, _conv_params(node, params), up)
             param_grads[f"{node.name}.weight"] = dw
             param_grads[f"{node.name}.bias"] = db
-            send(node.inputs[0], dx)
-        elif node.kind == "tconv":
-            dx, dw, db = ops.transposed_conv2d_vjp(
-                values[node.inputs[0]], _conv_params(node, params), up
-            )
-            param_grads[f"{node.name}.weight"] = dw
-            param_grads[f"{node.name}.bias"] = db
-            send(node.inputs[0], dx)
+            dins = (dx,)
         elif node.kind == "maxpool":
-            send(node.inputs[0], ops.maxpool2x2_vjp(tape.pool_argmax[node.name], up))
+            dins = (ops.maxpool2x2_vjp(tape.pool_argmax[node.name], up),)
         elif node.kind == "relu":
-            send(node.inputs[0], ops.relu_vjp(values[node.inputs[0]], up))
+            dins = (ops.relu_vjp(x, up),)
         elif node.kind == "concat":
-            ca = values[node.inputs[0]].shape[1]
-            send(node.inputs[0], np.ascontiguousarray(up[:, :ca]))
-            send(node.inputs[1], np.ascontiguousarray(up[:, ca:]))
+            ca = x.shape[1]
+            dins = (np.ascontiguousarray(up[:, :ca]), np.ascontiguousarray(up[:, ca:]))
         elif node.kind == "add":
-            send(node.inputs[0], up)
-            send(node.inputs[1], up)
+            dins = (up, up)
         elif node.kind == "upsample_nearest":
-            send(node.inputs[0], ops.nearest_upsample2x_vjp(up))
-        elif node.kind == "softmax":
-            send(node.inputs[0], ops.softmax_channels_vjp(values[node.name], up))
+            dins = (ops.nearest_upsample2x_vjp(up),)
+        else:  # softmax
+            dins = (ops.softmax_channels_vjp(values[node.name], up),)
+        for target, grad in zip(node.inputs, dins):
+            upstream[target] = upstream[target] + grad if target in upstream else grad
     grads = {}
     for name, value in params.items():
         got = param_grads.get(name)
@@ -467,7 +444,12 @@ def load_checkpoint(path, expected_spec=None):
         pos += 2
         if len(buf) < pos + name_len:
             raise FormatError("checkpoint: truncated entry name")
-        name = buf[pos : pos + name_len].decode("utf-8")
+        try:
+            name = buf[pos : pos + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError("checkpoint: entry name is not UTF-8") from None
+        if name in params:
+            raise FormatError(f"checkpoint: duplicate parameter {name!r}")
         pos += name_len
         value, pos = decode_rft1(buf, pos)
         params.add(name, value)

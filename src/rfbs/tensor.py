@@ -1,16 +1,15 @@
 """Dense tensor values and the RFT1 binary tensor format.
 
 A tensor is a C-contiguous numpy array of dtype float32 or float64 with rank
-1..4; rank-4 arrays are laid out NCHW. Every operation here is a pure
-function: inputs are never mutated and identical inputs produce bit-identical
-outputs. Broadcasting is deliberately unsupported, and mixed-dtype operands
-are rejected; all shape/dtype agreement is explicit.
+1..4; rank-4 arrays are laid out NCHW. Every function here is pure: inputs
+are never mutated and identical inputs produce bit-identical outputs.
 
 RFT1 layout (little-endian): magic "RFT1", 1 byte dtype code (0=f32, 1=f64),
 1 byte rank (1..4), rank u32 extents, then row-major element data. No padding
 and no trailing bytes.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -52,15 +51,6 @@ def as_tensor(a, name="tensor"):
     return a
 
 
-def require_same_shape_dtype(a, b, op):
-    as_tensor(a, f"{op} lhs")
-    as_tensor(b, f"{op} rhs")
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
-    if a.dtype != b.dtype:
-        raise ShapeError(f"{op}: dtype mismatch {a.dtype} vs {b.dtype}")
-
-
 def zeros(shape, dtype=F32):
     dims = check_shape(shape)
     if np.dtype(dtype) not in _DTYPE_CODE:
@@ -78,26 +68,6 @@ def from_values(shape, values, dtype=F32):
     if not np.isfinite(flat).all():
         raise ShapeError("values must be finite")
     return flat.reshape(dims).copy()
-
-
-def elementwise_add(a, b):
-    require_same_shape_dtype(a, b, "add")
-    return a + b
-
-
-def concat_channels(a, b):
-    """Concatenate two NCHW tensors along channels; a's channels come first."""
-    as_tensor(a, "concat lhs")
-    as_tensor(b, "concat rhs")
-    if a.ndim != 4 or b.ndim != 4:
-        raise ShapeError("concat_channels requires rank-4 NCHW tensors")
-    if a.dtype != b.dtype:
-        raise ShapeError(f"concat_channels: dtype mismatch {a.dtype} vs {b.dtype}")
-    if a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
-        raise ShapeError(
-            f"concat_channels: batch/spatial mismatch {a.shape} vs {b.shape}"
-        )
-    return np.concatenate([a, b], axis=1)
 
 
 def reduce_sum(a):
@@ -141,13 +111,13 @@ def decode_rft1(buf, offset=0):
         raise FormatError("RFT1: truncated extent table")
     dims = struct.unpack_from(f"<{rank}I", buf, pos)
     pos += 4 * rank
-    if any(d < 1 for d in dims):
-        raise FormatError(f"RFT1: degenerate extent in {dims}")
+    if not all(1 <= d <= MAX_EXTENT for d in dims):
+        raise FormatError(f"RFT1: extents {dims} outside 1..{MAX_EXTENT}")
     dtype = _CODE_DTYPE[code]
-    nbytes = int(np.prod(dims)) * dtype.itemsize
+    nbytes = math.prod(dims) * dtype.itemsize  # Python ints: cannot wrap around
     if len(buf) < pos + nbytes:
         raise FormatError("RFT1: truncated element data")
-    data = np.frombuffer(buf, dtype=dtype, count=int(np.prod(dims)), offset=pos)
+    data = np.frombuffer(buf, dtype=dtype, count=nbytes // dtype.itemsize, offset=pos)
     arr = data.reshape(dims).astype(dtype.newbyteorder("="), copy=True)
     return arr, pos + nbytes
 

@@ -46,3 +46,17 @@ def rand_f64(shape, seed, lo=-1.0, hi=1.0):
 
     n = int(np.prod(shape))
     return (lo + (hi - lo) * Prng(seed).fill_f64(n)).reshape(shape)
+
+
+def join_spec(kind, ca, cb, stride_b=1):
+    """x -> 1x1 conv "a" (ca channels) and 3x3 conv "b" (cb channels, stride
+    stride_b), joined by one `kind` node named "join"."""
+    return model.ArchitectureSpec(
+        arch_id=kind, input_name="x", output_name="join", in_channels=2,
+        num_classes=2, total_downsampling_factor=1,
+        nodes=(
+            model.LayerNode("a", "conv", ("x",), 2, ca, 1, 1, 0),
+            model.LayerNode("b", "conv", ("x",), 2, cb, 3, stride_b, 1),
+            model.LayerNode("join", kind, ("a", "b")),
+        ),
+    )

@@ -1,4 +1,8 @@
+import numpy as np
+
 from rfbs import analysis, model
+
+from conftest import rand_f64
 
 
 class TestNodeParams:
@@ -42,6 +46,47 @@ class TestCountFlops:
         report = analysis.count_flops(desk_spec, (1, 1, 64, 64))
         assert report.total_flops == sum(n.flops for n in report.nodes)
         assert report.total_params == sum(n.params for n in report.nodes)
+
+
+def _by_definition(node, x, weight):
+    """Evaluate a conv node (bias left out) straight from its definition, one
+    (output pixel, kernel tap) pair at a time; each pair is a (Cin x Cout)
+    block of multiply-accumulates. Returns (output, MACs)."""
+    n, cin, h, w = x.shape
+    cout, _, k, _ = weight.shape
+    s, p = node.stride, node.padding
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    out = np.zeros((n, cout, (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1))
+    macs = 0
+    for y in range(out.shape[2]):
+        for xx in range(out.shape[3]):
+            for i in range(k):
+                for j in range(k):
+                    pixel = xp[:, :, s * y + i, s * xx + j]
+                    out[:, :, y, xx] += pixel @ weight[:, :, i, j].T
+                    macs += cin * cout
+    return out, macs
+
+
+class TestBruteForceMacs:
+    def test_conv_nodes(self, desk_spec):
+        params = model.init_params(desk_spec, seed=9, dtype=np.float64)
+        x = rand_f64((1, 1, 32, 32), seed=90, lo=0.0, hi=1.0)
+        _, tape = model.forward(desk_spec, params, x, keep_intermediates=True)
+        report = {n.name: n for n in analysis.count_flops(desk_spec, x.shape).nodes}
+        checked = 0
+        for node in desk_spec.nodes:
+            if node.kind != "conv":
+                continue
+            out, macs = _by_definition(
+                node, tape.activations[node.inputs[0]], params[f"{node.name}.weight"]
+            )
+            out += params[f"{node.name}.bias"][None, :, None, None]
+            assert np.allclose(out, tape.activations[node.name], rtol=1e-12, atol=1e-12)
+            bias_adds = out.size  # batch 1: one per output element
+            assert report[node.name].flops == 2 * macs + bias_adds, node.name
+            checked += 1
+        assert checked == sum(n.kind == "conv" for n in desk_spec.nodes) > 0
 
 
 class TestCrossChecks:

@@ -90,9 +90,8 @@ class TestTsv:
 
     def test_header_records_protocol(self, desk_spec, desk_params):
         report = bench.bench_forward(
-            desk_spec, desk_params, (1, 1, 32, 32), iters=2, warmup=1, workers=3
+            desk_spec, desk_params, (1, 1, 32, 32), iters=2, warmup=1
         )
         tsv = bench.format_tsv(report)
         assert "# batch = 1" in tsv
         assert "# warmup = 1" in tsv
-        assert "# workers = 3" in tsv

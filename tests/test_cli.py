@@ -32,6 +32,14 @@ def dir_digest(path):
     return h.hexdigest()
 
 
+@pytest.mark.parametrize(
+    "command", ["generate", "train", "bench", "analyze", "infer", "gradcheck"]
+)
+def test_threads_only_on_eval(command, capsys):
+    assert cli.main([command, "--threads", "2"]) == 1
+    assert "--threads" in capsys.readouterr().err
+
+
 class TestGenerate:
     def test_reports_count(self, dataset_dir, capsys):
         assert len(data.load_dataset(dataset_dir)) == 10
@@ -151,6 +159,15 @@ class TestEval:
         assert cli.main(["eval", "--data", dataset_dir, "--ckpt", ckpt,
                          "--split", "test"]) == 1
 
+    def test_threads_below_one_usage_error(self, dataset_dir, ckpt, tmp_path):
+        for value in ("0", "-2"):
+            assert cli.main(["eval", "--data", dataset_dir, "--ckpt", ckpt,
+                             "--threads", value]) == 1
+        conf = tmp_path / "eval.conf"
+        conf.write_text("threads = 0\n")
+        assert cli.main(["eval", "--config", str(conf), "--data", dataset_dir,
+                         "--ckpt", ckpt]) == 1
+
 
 class TestBench:
     def test_iters_flag(self, ckpt, tmp_path, capsys):
@@ -216,6 +233,17 @@ class TestInfer:
         img.write_bytes(b"P5\n32 32\n255\n" + bytes(10))
         assert cli.main(["infer", "--ckpt", ckpt, "--in", str(img),
                          "--out", str(tmp_path / "o.pgm")]) == 2
+
+    def test_non_utf8_checkpoint_name_exit_2(self, ckpt, tmp_path, capsys):
+        bad = tmp_path / "name.ckpt"
+        blob = bytearray(open(ckpt, "rb").read())
+        blob[16] = 0xFF  # first name byte: after the 14-byte header and a u16 length
+        bad.write_bytes(bytes(blob))
+        img = tmp_path / "in.pgm"
+        data.write_pgm(img, data.generate_phantoms(1, 64, seed=6).samples[0].image)
+        assert cli.main(["infer", "--ckpt", str(bad), "--in", str(img),
+                         "--out", str(tmp_path / "o.pgm")]) == 2
+        assert "UTF-8" in capsys.readouterr().err
 
     def test_prob_out_rft1(self, ckpt, tmp_path, capsys):
         img = tmp_path / "in.pgm"

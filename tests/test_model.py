@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from rfbs import model
+from rfbs import model, ops
 from rfbs.errors import FormatError, NumericsError, ShapeError
 
-from conftest import rand_f32
+from conftest import join_spec, rand_f32
 
 
 class TestBuild:
@@ -102,6 +104,10 @@ class TestForward:
             y, _ = model.forward(desk_spec, desk_params, x)
             assert y.shape == (1, 2, size_h, size_w)
 
+    def test_rejects_non_nchw_input(self, desk_spec, desk_params):
+        with pytest.raises(ShapeError, match="rank-4"):
+            model.forward(desk_spec, desk_params, np.zeros((32, 32), np.float32))
+
     def test_rejects_bad_extents(self, desk_spec, desk_params):
         with pytest.raises(ShapeError, match="multiples of 16"):
             model.forward(desk_spec, desk_params, np.zeros((1, 1, 34, 34), np.float32))
@@ -154,6 +160,60 @@ class TestBackward:
         g2 = model.backward(tape2, up)["c.weight"]
         g1 = model.backward(tape1, up)["c.weight"]
         assert np.array_equal(g2, 2.0 * g1)
+
+
+class TestConcatNode:
+    def test_channel_ordering(self):
+        spec = join_spec("concat", 2, 1)
+        params = model.init_params(spec, seed=3)
+        x = rand_f32((1, 2, 4, 4), seed=80)
+        out, tape = model.forward(spec, params, x, keep_intermediates=True)
+        assert out.shape == (1, 3, 4, 4)
+        assert out[:, :2].tobytes() == tape.activations["a"].tobytes()  # a first
+        assert out[:, 2:].tobytes() == tape.activations["b"].tobytes()
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 5), st.integers(1, 5),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_slice_recovers_inputs(self, ca, cb, h, w, seed):
+        # backward splits the upstream at channel ca: each conv sees its slice
+        spec = join_spec("concat", ca, cb)
+        params = model.init_params(spec, seed=seed, dtype=np.float64)
+        x = rand_f32((2, 2, h, w), seed=seed).astype(np.float64)
+        out, tape = model.forward(spec, params, x, keep_intermediates=True)
+        up = rand_f32(out.shape, seed=seed ^ 1).astype(np.float64)
+        grads = model.backward(tape, up)
+        for name, part in (("a", up[:, :ca]), ("b", up[:, ca:])):
+            node = spec.node(name)
+            p = ops.Conv2dParams(params[f"{name}.weight"], params[f"{name}.bias"],
+                                 stride=node.stride, padding=node.padding)
+            _, dw, db = ops.conv2d_vjp(x, p, np.ascontiguousarray(part))
+            assert grads[f"{name}.weight"].tobytes() == dw.tobytes()
+            assert grads[f"{name}.bias"].tobytes() == db.tobytes()
+
+    def test_spatial_mismatch(self):
+        spec = join_spec("concat", 2, 2, stride_b=2)
+        params = model.init_params(spec, seed=3)
+        with pytest.raises(ShapeError, match="'join'"):
+            model.forward(spec, params, rand_f32((1, 2, 4, 4), seed=81))
+
+
+class TestAddNode:
+    def test_sums_operands(self):
+        spec = join_spec("add", 3, 3)
+        params = model.init_params(spec, seed=4)
+        out, tape = model.forward(spec, params, rand_f32((2, 2, 4, 6), seed=82),
+                                  keep_intermediates=True)
+        a, b = tape.activations["a"], tape.activations["b"]
+        assert out.shape == (2, 3, 4, 6)
+        assert out.tobytes() == (a + b).tobytes()
+
+    def test_mismatched_operands_name_node(self):
+        # (1,1,4,4) + (1,4,4,4) would broadcast in numpy; the graph refuses
+        spec = join_spec("add", 1, 4)
+        params = model.init_params(spec, seed=5)
+        with pytest.raises(ShapeError, match="'join'"):
+            model.forward(spec, params, rand_f32((1, 2, 4, 4), seed=83))
 
 
 class TestInitParams:
@@ -230,3 +290,33 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(FormatError):
             model.load_checkpoint(path)
+
+    def test_duplicate_name_rejected(self, desk_spec, desk_params, tmp_path):
+        path = tmp_path / "m.ckpt"
+        model.save_checkpoint(path, desk_spec, desk_params)
+        path.write_bytes(path.read_bytes().replace(b"sh_conv.bias", b"ds_conv.bias"))
+        with pytest.raises(FormatError, match="duplicate"):
+            model.load_checkpoint(path)
+
+
+class TestCheckpointFuzz:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_corruption_raises_only_format_error(self, tmp_path, data):
+        # a valid checkpoint with bytes overwritten, then cut or extended
+        spec = join_spec("add", 1, 1)
+        path = tmp_path / "fuzz.ckpt"
+        model.save_checkpoint(path, spec, model.init_params(spec, seed=6))
+        corrupt = bytearray(path.read_bytes())
+        for _ in range(data.draw(st.integers(1, 4))):
+            pos = data.draw(st.integers(0, len(corrupt) - 1))
+            corrupt[pos] = data.draw(st.integers(0, 255))
+        corrupt = bytes(corrupt[: data.draw(st.integers(0, len(corrupt)))])
+        corrupt += data.draw(st.binary(max_size=8))
+        path.write_bytes(corrupt)
+        for expected in (None, spec):
+            try:
+                model.load_checkpoint(path, expected_spec=expected)
+            except FormatError:
+                pass

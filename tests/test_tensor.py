@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfbs import tensor
+from rfbs import model, tensor
 from rfbs.errors import FormatError, ShapeError
+
+from conftest import join_spec
 
 
 class TestZeros:
@@ -60,67 +62,33 @@ class TestFromValues:
 
 
 class TestElementwiseAdd:
+    # the engine adds tensors only at an `add` node of the graph
     def test_basic(self):
-        a = tensor.from_values([2], [1, 2])
-        b = tensor.from_values([2], [3, 4])
-        assert list(tensor.elementwise_add(a, b)) == [4, 6]
-
-    def test_zero_identity_bitwise(self):
-        # IEEE aside: -0.0 + 0.0 flips the sign bit, so stick to +/- values
-        x = tensor.from_values([2, 3], [0.1, -2.5, 3.3, 7.0, 0.0, 1e-30])
-        out = tensor.elementwise_add(x, tensor.zeros([2, 3]))
-        assert out.tobytes() == x.tobytes()
+        spec = join_spec("add", 1, 1)
+        params = model.init_params(spec, seed=1)
+        params["a.weight"][:] = tensor.from_values([1, 2, 1, 1], [1, 0])  # picks x[:, 0]
+        params["b.weight"][:] = 0.0
+        params["b.weight"][0, 1, 1, 1] = 1.0  # centre tap of x[:, 1]
+        x = tensor.from_values([1, 2, 1, 2], [1, 2, 3, 4])
+        out, _ = model.forward(spec, params, x)
+        assert list(out.ravel()) == [4, 6]
 
     def test_shape_preserved(self):
-        a = tensor.zeros([1, 16, 32, 32])
-        assert tensor.elementwise_add(a, a).shape == (1, 16, 32, 32)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            tensor.elementwise_add(tensor.zeros([2]), tensor.zeros([3]))
-
-    def test_dtype_mismatch(self):
-        with pytest.raises(ShapeError):
-            tensor.elementwise_add(
-                tensor.zeros([2], np.float32), tensor.zeros([2], np.float64)
-            )
+        spec = join_spec("add", 16, 16)
+        params = model.init_params(spec, seed=2)
+        out, _ = model.forward(spec, params, tensor.zeros([1, 2, 32, 32]))
+        assert out.shape == (1, 16, 32, 32)
 
 
 class TestConcatChannels:
-    def test_downsampler_shape(self):
-        a = tensor.zeros([1, 15, 128, 128])
-        b = tensor.zeros([1, 1, 128, 128])
-        assert tensor.concat_channels(a, b).shape == (1, 16, 128, 128)
-
-    def test_channel_ordering(self):
-        a = tensor.from_values([1, 2, 1, 1], [1, 2])
-        b = tensor.from_values([1, 1, 1, 1], [9])
-        out = tensor.concat_channels(a, b)
-        assert out[0, 0, 0, 0] == 1  # a's channel 0 stays channel 0
-        assert out[0, 2, 0, 0] == 9
-
-    def test_spatial_mismatch(self):
-        with pytest.raises(ShapeError):
-            tensor.concat_channels(tensor.zeros([1, 3, 4, 4]), tensor.zeros([1, 3, 5, 4]))
-
-    def test_rank_enforced(self):
-        with pytest.raises(ShapeError):
-            tensor.concat_channels(tensor.zeros([3, 4]), tensor.zeros([3, 4]))
-
-    @given(
-        st.integers(1, 4), st.integers(1, 4), st.integers(1, 5), st.integers(1, 5),
-        st.integers(0, 2**32 - 1),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_slice_recovers_inputs(self, ca, cb, h, w, seed):
-        from rfbs.data import Prng
-
-        prng = Prng(seed)
-        a = prng.fill_f64(2 * ca * h * w).reshape(2, ca, h, w).astype(np.float32)
-        b = prng.fill_f64(2 * cb * h * w).reshape(2, cb, h, w).astype(np.float32)
-        out = tensor.concat_channels(a, b)
-        assert out[:, :ca].tobytes() == a.tobytes()
-        assert out[:, ca:].tobytes() == b.tobytes()
+    # the engine concatenates channels only at a `concat` node of the graph
+    def test_downsampler_shape(self, desk_spec, desk_params):
+        x = tensor.zeros([1, 1, 256, 256])
+        _, tape = model.forward(desk_spec, desk_params, x, keep_intermediates=True)
+        acts = tape.activations
+        assert acts["ds_conv"].shape == (1, 15, 128, 128)
+        assert acts["ds_pool"].shape == (1, 1, 128, 128)
+        assert acts["ds_cat"].shape == (1, 16, 128, 128)
 
 
 class TestReduceSum:
@@ -195,3 +163,36 @@ class TestRft1:
         path.write_bytes(bytes(good))
         with pytest.raises(FormatError):
             tensor.read_rft1(path)
+
+    def test_overflowing_extents_are_format_errors(self):
+        # every extent above MAX_EXTENT; and a product far beyond int64
+        for rank, extent in ((4, 2**31), (2, 2**32 - 1)):
+            blob = b"RFT1" + bytes([0, rank]) + struct.pack(f"<{rank}I", *[extent] * rank)
+            with pytest.raises(FormatError):
+                tensor.decode_rft1(blob + bytes(64))
+        huge = b"RFT1" + bytes([1, 4]) + struct.pack("<4I", *[2**20] * 4)
+        with pytest.raises(FormatError, match="truncated"):
+            tensor.decode_rft1(huge + bytes(64))
+
+
+def _rft1_blobs():
+    """A header with arbitrary magic, dtype code, rank and extents followed by
+    arbitrary data, or plain random bytes."""
+    extent = st.sampled_from([0, 1, 2, 3, 2**16, 2**31 - 1, 2**31, 2**32 - 1])
+    header = st.tuples(
+        st.sampled_from([b"RFT1", b"RFT2"]), st.integers(0, 3), st.integers(0, 5),
+        st.lists(extent | st.integers(0, 2**32 - 1), max_size=5),
+    ).map(lambda t: t[0] + bytes(t[1:3]) + struct.pack(f"<{len(t[3])}I", *t[3]))
+    blob = st.tuples(header, st.binary(max_size=96)).map(b"".join)
+    return blob | st.binary(max_size=64)
+
+
+class TestRft1Fuzz:
+    @given(_rft1_blobs())
+    @settings(max_examples=400, deadline=None)
+    def test_decode_raises_only_format_error(self, blob):
+        try:
+            arr, end = tensor.decode_rft1(blob)
+        except FormatError:
+            return
+        assert tensor.encode_rft1(arr) == blob[:end]  # what decodes re-encodes
