@@ -36,14 +36,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _default_threads():
-    raw = os.environ.get("RFBS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise UsageError(f"RFBS_THREADS must be an integer, got {raw!r}") from None
-
-
 def _parse_bool(raw):
     low = raw.strip().lower()
     if low in ("1", "true", "yes"):
@@ -53,10 +45,7 @@ def _parse_bool(raw):
     raise UsageError(f"expected a boolean, got {raw!r}")
 
 
-# name -> (type, default, help); default None marks a required value,
-# _THREADS defers to the RFBS_THREADS environment variable.
-_THREADS = object()
-
+# name -> (type, default, help); default None marks a required value.
 _COMMANDS = {
     "generate": {
         "out": (str, None, "output dataset directory"),
@@ -79,7 +68,7 @@ _COMMANDS = {
         "ckpt": (str, None, "checkpoint path"),
         "split": (str, "val", "split to evaluate: train|val|all"),
         "tsv": (str, "", "also write the records to this file"),
-        "threads": (int, _THREADS, "worker count"),
+        "threads": (int, 1, "worker count (default: RFBS_THREADS, else 1)"),
     },
     "bench": {
         "ckpt": (str, None, "checkpoint path"),
@@ -146,11 +135,14 @@ def _read_config_file(path, options):
 
 
 def _resolve(args, command):
-    """defaults <- config file <- explicit flags, with type conversion."""
+    """defaults <- RFBS_THREADS <- config file <- explicit flags, with type
+    conversion."""
     options = _COMMANDS[command]
     explicit = {k.replace("_", "-"): v for k, v in vars(args).items()
                 if k not in ("command", "config")}
     raw = {}
+    if "threads" in options and "RFBS_THREADS" in os.environ:
+        raw["threads"] = os.environ["RFBS_THREADS"]
     if hasattr(args, "config"):
         raw.update(_read_config_file(args.config, options))
     raw.update(explicit)
@@ -163,8 +155,6 @@ def _resolve(args, command):
                 raise UsageError(f"--{name}: {e}") from None
         elif default is None:
             raise UsageError(f"missing required option --{name}")
-        elif default is _THREADS:
-            cfg[name] = _default_threads()
         else:
             cfg[name] = default
     return cfg
@@ -236,12 +226,12 @@ def _eval_one(spec, params, sample):
 def cmd_eval(cfg):
     if cfg["split"] not in ("train", "val", "all"):
         raise UsageError(f"--split must be train, val, or all, got {cfg['split']!r}")
+    if cfg["threads"] < 1:
+        raise UsageError(f"--threads must be >= 1, got {cfg['threads']}")
     dataset = data.load_dataset(cfg["data"])
     part = dataset.part(cfg["split"])
     if not part:
         raise FormatError(f"split {cfg['split']!r} has no samples")
-    if cfg["threads"] < 1:
-        raise UsageError(f"--threads must be >= 1, got {cfg['threads']}")
     spec, params = _load_model(cfg["ckpt"])
     if cfg["threads"] > 1:
         with ThreadPoolExecutor(max_workers=cfg["threads"]) as pool:
@@ -288,12 +278,6 @@ def cmd_analyze(cfg):
 def cmd_infer(cfg):
     spec, params = _load_model(cfg["ckpt"])
     image = data.read_pgm(cfg["in"])
-    m = spec.total_downsampling_factor
-    if image.shape[0] % m or image.shape[1] % m:
-        raise FormatError(
-            f"input is {image.shape[1]}x{image.shape[0]}; H and W must be "
-            f"multiples of {m}"
-        )
     prob, _ = model.forward(spec, params, image[None, None, :, :])
     mask = metrics.argmax_mask(prob, foreground_class=1)[0]
     data.write_pgm(cfg["out"], mask)

@@ -255,12 +255,6 @@ class ParameterStore:
             out.add(name, value.copy())
         return out
 
-    def astype(self, dtype):
-        out = ParameterStore()
-        for name, value in self._params.items():
-            out.add(name, value.astype(dtype))
-        return out
-
 
 def _param_nodes(spec):
     return [n for n in spec.nodes if n.kind in ("conv", "tconv")]
@@ -297,12 +291,11 @@ def _conv_params(node, params):
 
 @dataclass
 class Tape:
-    """Per-node activations and pooling argmax maps retained by forward."""
+    """Per-node activations retained by forward."""
 
     spec: ArchitectureSpec
     params: ParameterStore
     activations: dict
-    pool_argmax: dict
     output_name: str
 
 
@@ -321,7 +314,6 @@ def forward(spec, params, x, keep_intermediates=False):
         )
     infer_shapes(spec, x.shape)  # channel, concat and add agreement, per node
     values = {spec.input_name: x}
-    pool_argmax = {}
     for node in spec.nodes:
         ins = [values[s] for s in node.inputs]
         if node.kind == "conv":
@@ -329,8 +321,7 @@ def forward(spec, params, x, keep_intermediates=False):
         elif node.kind == "tconv":
             out = ops.transposed_conv2d(ins[0], _conv_params(node, params))
         elif node.kind == "maxpool":
-            out, argmax = ops.maxpool2x2(ins[0])
-            pool_argmax[node.name] = argmax
+            out = ops.maxpool2x2(ins[0])
         elif node.kind == "relu":
             out = ops.relu(ins[0])
         elif node.kind == "concat":
@@ -346,7 +337,7 @@ def forward(spec, params, x, keep_intermediates=False):
         values[node.name] = out
     y = values[spec.output_name]
     if keep_intermediates:
-        return y, Tape(spec, params, values, pool_argmax, spec.output_name)
+        return y, Tape(spec, params, values, spec.output_name)
     return y, None
 
 
@@ -378,7 +369,7 @@ def backward(tape, loss_grad):
             param_grads[f"{node.name}.bias"] = db
             dins = (dx,)
         elif node.kind == "maxpool":
-            dins = (ops.maxpool2x2_vjp(tape.pool_argmax[node.name], up),)
+            dins = (ops.maxpool2x2_vjp(x, up),)
         elif node.kind == "relu":
             dins = (ops.relu_vjp(x, up),)
         elif node.kind == "concat":

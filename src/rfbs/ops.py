@@ -2,12 +2,13 @@
 finite-difference gradient checker.
 
 Conventions: tensors are NCHW, convolution is cross-correlation (no kernel
-flip), output extents follow Hout = floor((H + 2*padH - Kh)/strideH) + 1.
-Only the hyperparameter combinations the network needs are supported:
-conv k3 s{1,2} p{0,1}, conv k1 s1 p0, max-pool 2x2 s2, transposed conv k2 s2.
-Every forward is deterministic (bit-identical for identical inputs), ReLU's
-gradient at exactly 0 is 0, and pooling ties break to the first element in
-row-major window order.
+flip), kernels are square, and one int stride and one int padding apply to
+both spatial axes, so Hout = floor((H + 2*pad - K)/stride) + 1. Only the
+configurations the network needs are supported: conv k3 s{1,2} p{0,1},
+conv k1 s1 p0, max-pool 2x2 s2, transposed conv k2 s2. Every forward is
+deterministic (bit-identical for identical inputs), ReLU's gradient at
+exactly 0 is 0, and the max-pool VJP recomputes each window's winner from
+its input, breaking ties to the first element in row-major window order.
 """
 
 from dataclasses import dataclass, field
@@ -17,47 +18,36 @@ import numpy as np
 from .data import Prng
 from .errors import NumericsError, ShapeError, UnsupportedConfigError
 
-# (kernel, stride, pad) triples accepted per spatial axis; k2 s2 exists for
-# the adjoint pairing with transposed_conv2d.
+# (kernel, stride, pad) triples accepted; conv k2 s2 exists for the adjoint
+# pairing with transposed_conv2d.
 _CONV_CONFIGS = {(3, 1, 1), (3, 2, 1), (3, 1, 0), (3, 2, 0), (1, 1, 0), (2, 2, 0)}
-
-
-def _pair(v, name):
-    if isinstance(v, (tuple, list)):
-        if len(v) != 2:
-            raise ShapeError(f"{name} must be an int or a pair, got {v}")
-        return int(v[0]), int(v[1])
-    return int(v), int(v)
+_TCONV_CONFIGS = {(2, 2, 0)}
 
 
 @dataclass
 class Conv2dParams:
     """Weights for conv2d / transposed_conv2d.
 
-    weight is (Cout, Cin, Kh, Kw) for both ops; for the transposed direction
+    weight is (Cout, Cin, K, K) for both ops; for the transposed direction
     Cin is the *input* channel count of the op.
     """
 
     weight: np.ndarray
     bias: np.ndarray
-    stride: tuple = (1, 1)
-    padding: tuple = (0, 0)
+    stride: int = 1
+    padding: int = 0
 
     def __post_init__(self):
-        self.stride = _pair(self.stride, "stride")
-        self.padding = _pair(self.padding, "padding")
+        self.stride = int(self.stride)
+        self.padding = int(self.padding)
         if self.weight.ndim != 4:
-            raise ShapeError(f"weight must be (Cout, Cin, Kh, Kw), got {self.weight.shape}")
+            raise ShapeError(f"weight must be (Cout, Cin, K, K), got {self.weight.shape}")
         if self.bias.ndim != 1 or self.bias.shape[0] != self.weight.shape[0]:
             raise ShapeError(
                 f"bias shape {self.bias.shape} does not match Cout {self.weight.shape[0]}"
             )
         if self.weight.dtype != self.bias.dtype:
             raise ShapeError("weight/bias dtype mismatch")
-        if min(self.weight.shape[2:]) < 1:
-            raise ShapeError("kernel extents must be >= 1")
-        if min(self.stride) < 1 or min(self.padding) < 0:
-            raise ShapeError("stride must be >= 1 and padding >= 0")
 
     @property
     def cout(self):
@@ -67,158 +57,132 @@ class Conv2dParams:
     def cin(self):
         return self.weight.shape[1]
 
-    @property
-    def kernel(self):
-        return self.weight.shape[2], self.weight.shape[3]
 
-
-def _check_conv_config(p):
-    kh, kw = p.kernel
-    sh, sw = p.stride
-    ph, pw = p.padding
-    if (kh, sh, ph) not in _CONV_CONFIGS or (kw, sw, pw) not in _CONV_CONFIGS:
+def _check_input(x, p, op, configs):
+    """Refuse a (kernel, stride, padding) outside `configs` or an input that
+    does not fit the weights; returns the kernel extent."""
+    k, kw = p.weight.shape[2:]
+    if k != kw or (k, p.stride, p.padding) not in configs:
         raise UnsupportedConfigError(
-            f"conv k{kh}x{kw} s{sh}x{sw} p{ph}x{pw} is outside the supported set "
-            "(k3 s1/s2 p0/p1, k1 s1 p0)"
+            f"{op}: k{k}x{kw} s{p.stride} p{p.padding} is outside the supported "
+            f"set (k, s, p) in {sorted(configs)}"
         )
-
-
-def _check_input(x, p, op):
     if not isinstance(x, np.ndarray) or x.ndim != 4:
         raise ShapeError(f"{op} input must be a rank-4 NCHW array")
     if x.dtype != p.weight.dtype:
         raise ShapeError(f"{op}: input dtype {x.dtype} != weight dtype {p.weight.dtype}")
     if x.shape[1] != p.cin:
         raise ShapeError(f"{op}: input has {x.shape[1]} channels, weights expect {p.cin}")
+    return k
 
 
 def conv_out_extent(size, kernel, stride, pad):
     return (size + 2 * pad - kernel) // stride + 1
 
 
-def _im2col(x, kh, kw, sh, sw, ph, pw):
-    """Patch matrix (N*Hout*Wout, Cin*Kh*Kw) of the zero-padded input."""
-    if ph or pw:
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    n, c = x.shape[:2]
-    hout = (x.shape[2] - kh) // sh + 1
-    wout = (x.shape[3] - kw) // sw + 1
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::sh, ::sw]  # (n, c, hout, wout, kh, kw)
+def _conv_geometry(x, p, op):
+    """Checks a conv2d / conv2d_vjp call; returns (k, hout, wout)."""
+    k = _check_input(x, p, op, _CONV_CONFIGS)
+    hout = conv_out_extent(x.shape[2], k, p.stride, p.padding)
+    wout = conv_out_extent(x.shape[3], k, p.stride, p.padding)
+    if hout < 1 or wout < 1:
+        raise ShapeError(f"{op}: non-positive output extent for input {x.shape}")
+    return k, hout, wout
+
+
+def _im2col(x, k, s, pad):
+    """Patch matrix (N*Hout*Wout, Cin*K*K) of the zero-padded input."""
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
+    win = win[:, :, ::s, ::s]  # (n, c, hout, wout, k, k)
+    n, c, hout, wout = win.shape[:4]
     cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5))
-    return cols.reshape(n * hout * wout, c * kh * kw), hout, wout
+    return cols.reshape(n * hout * wout, c * k * k)
 
 
-def _col2im(dcols, xshape, kh, kw, sh, sw, ph, pw, hout, wout):
+def _col2im(dcols, xshape, k, s, pad, hout, wout):
     """Adjoint of _im2col: scatter-add patch gradients back onto the input."""
     n, c, h, w = xshape
-    dxp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=dcols.dtype)
-    dwin = dcols.reshape(n, hout, wout, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-    for a in range(kh):
-        for b in range(kw):
-            dxp[:, :, a : a + sh * hout : sh, b : b + sw * wout : sw] += dwin[
+    dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=dcols.dtype)
+    dwin = dcols.reshape(n, hout, wout, c, k, k).transpose(0, 3, 1, 2, 4, 5)
+    for a in range(k):
+        for b in range(k):
+            dxp[:, :, a : a + s * hout : s, b : b + s * wout : s] += dwin[
                 :, :, :, :, a, b
             ]
-    if ph or pw:
-        return np.ascontiguousarray(dxp[:, :, ph : ph + h, pw : pw + w])
+    if pad:
+        return np.ascontiguousarray(dxp[:, :, pad : pad + h, pad : pad + w])
     return dxp
 
 
 def conv2d(x, p):
     """Cross-correlation plus bias; output (N, Cout, Hout, Wout)."""
-    _check_conv_config(p)
-    _check_input(x, p, "conv2d")
-    kh, kw = p.kernel
-    sh, sw = p.stride
-    ph, pw = p.padding
-    n, _, h, w = x.shape
-    hout = conv_out_extent(h, kh, sh, ph)
-    wout = conv_out_extent(w, kw, sw, pw)
-    if hout < 1 or wout < 1:
-        raise ShapeError(f"conv2d: non-positive output extent for input {x.shape}")
-    cols, hout, wout = _im2col(x, kh, kw, sh, sw, ph, pw)
-    w2 = p.weight.reshape(p.cout, -1)
-    y = cols @ w2.T
+    k, hout, wout = _conv_geometry(x, p, "conv2d")
+    cols = _im2col(x, k, p.stride, p.padding)
+    y = cols @ p.weight.reshape(p.cout, -1).T
     y += p.bias[None, :]
     return np.ascontiguousarray(
-        y.reshape(n, hout, wout, p.cout).transpose(0, 3, 1, 2)
+        y.reshape(x.shape[0], hout, wout, p.cout).transpose(0, 3, 1, 2)
     )
 
 
 def conv2d_vjp(x, p, upstream):
     """Gradients of sum(upstream * conv2d(x, p)) w.r.t. (x, weight, bias)."""
-    _check_conv_config(p)
-    _check_input(x, p, "conv2d_vjp")
-    kh, kw = p.kernel
-    sh, sw = p.stride
-    ph, pw = p.padding
-    n, _, h, w = x.shape
-    hout = conv_out_extent(h, kh, sh, ph)
-    wout = conv_out_extent(w, kw, sw, pw)
-    expect = (n, p.cout, hout, wout)
+    k, hout, wout = _conv_geometry(x, p, "conv2d_vjp")
+    expect = (x.shape[0], p.cout, hout, wout)
     if upstream.shape != expect or upstream.dtype != x.dtype:
         raise ShapeError(f"conv2d_vjp: upstream must be {expect} {x.dtype}, got "
                          f"{upstream.shape} {upstream.dtype}")
-    cols, _, _ = _im2col(x, kh, kw, sh, sw, ph, pw)
+    cols = _im2col(x, k, p.stride, p.padding)
     up2 = np.ascontiguousarray(upstream.transpose(0, 2, 3, 1)).reshape(-1, p.cout)
     dbias = up2.sum(axis=0)
     dweight = (up2.T @ cols).reshape(p.weight.shape)
     dcols = up2 @ p.weight.reshape(p.cout, -1)
-    dx = _col2im(dcols, x.shape, kh, kw, sh, sw, ph, pw, hout, wout)
+    dx = _col2im(dcols, x.shape, k, p.stride, p.padding, hout, wout)
     return dx, dweight, dbias
 
 
-def maxpool2x2(x):
-    """Non-overlapping 2x2 max pooling; also returns the winners' flat indices.
-
-    argmax holds, per output element, the flat index of the winning input
-    element within the whole NCHW array (ties go to the first element in
-    row-major window order).
-    """
+def _pool_taps(x, op):
+    """The four strided views x[:, :, a::2, b::2] that hold every 2x2 window's
+    elements, in row-major window order."""
     if not isinstance(x, np.ndarray) or x.ndim != 4:
-        raise ShapeError("maxpool2x2 input must be a rank-4 NCHW array")
-    n, c, h, w = x.shape
-    if h % 2 or w % 2:
-        raise ShapeError(f"maxpool2x2 requires even H and W, got {h}x{w}")
-    h2, w2 = h // 2, w // 2
-    win = np.ascontiguousarray(
-        x.reshape(n, c, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5)
-    ).reshape(n, c, h2, w2, 4)
-    local = win.argmax(axis=-1)  # first max wins ties
-    y = np.take_along_axis(win, local[..., None], axis=-1)[..., 0]
-    ni, ci, ii, ji = np.ogrid[0:n, 0:c, 0:h2, 0:w2]
-    rows = 2 * ii + local // 2
-    cols = 2 * ji + local % 2
-    argmax = ((ni * c + ci) * h + rows) * w + cols
-    return np.ascontiguousarray(y), argmax
+        raise ShapeError(f"{op} input must be a rank-4 NCHW array")
+    if x.shape[2] % 2 or x.shape[3] % 2:
+        raise ShapeError(f"{op} requires even H and W, got {x.shape[2]}x{x.shape[3]}")
+    return [x[:, :, a::2, b::2] for a in (0, 1) for b in (0, 1)]
 
 
-def maxpool2x2_vjp(argmax, upstream):
-    """Route upstream values to the recorded argmax positions, zeros elsewhere."""
-    if argmax.shape != upstream.shape:
-        raise ShapeError(
-            f"maxpool2x2_vjp: argmax {argmax.shape} vs upstream {upstream.shape}"
-        )
-    n, c, h2, w2 = argmax.shape
-    dx = np.zeros((n, c, 2 * h2, 2 * w2), dtype=upstream.dtype)
-    # winners are unique per window, so plain assignment suffices
-    dx.ravel()[argmax.ravel()] = upstream.ravel()
+def _pool_max(taps):
+    return np.maximum(np.maximum(taps[0], taps[1]), np.maximum(taps[2], taps[3]))
+
+
+def maxpool2x2(x):
+    """Non-overlapping 2x2 max pooling."""
+    return _pool_max(_pool_taps(x, "maxpool2x2"))
+
+
+def maxpool2x2_vjp(x, upstream):
+    """Route each upstream value to its window's first row-major maximum of
+    the pooled input x, zeros elsewhere; the winners are recomputed from x."""
+    taps = _pool_taps(x, "maxpool2x2_vjp")
+    y = _pool_max(taps)
+    if upstream.shape != y.shape:
+        raise ShapeError(f"maxpool2x2_vjp: upstream {upstream.shape} vs pooled {y.shape}")
+    dx = np.zeros(x.shape, dtype=upstream.dtype)
+    zero = np.zeros((), dtype=upstream.dtype)
+    pending = np.ones(y.shape, dtype=bool)  # windows whose winner is not placed yet
+    for i, tap in enumerate(taps):
+        won = pending & (tap == y)
+        dx[:, :, i // 2 :: 2, i % 2 :: 2] = np.where(won, upstream, zero)
+        pending &= ~won
     return dx
-
-
-def _check_tconv_config(p):
-    if p.kernel != (2, 2) or p.stride != (2, 2) or p.padding != (0, 0):
-        raise UnsupportedConfigError(
-            f"transposed conv supports only k2 s2 p0, got k{p.kernel} s{p.stride} "
-            f"p{p.padding}"
-        )
 
 
 def transposed_conv2d(x, p):
     """Learnable 2x upsampling: each input pixel scatters weight*x into a 2x2
     block (non-overlapping because k = s = 2), then bias is added."""
-    _check_tconv_config(p)
-    _check_input(x, p, "transposed_conv2d")
+    _check_input(x, p, "transposed_conv2d", _TCONV_CONFIGS)
     n, _, h, w = x.shape
     x2 = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(n * h * w, p.cin)
     w2 = np.ascontiguousarray(p.weight.transpose(1, 0, 2, 3)).reshape(p.cin, -1)
@@ -232,8 +196,7 @@ def transposed_conv2d(x, p):
 
 def transposed_conv2d_vjp(x, p, upstream):
     """Gradients of sum(upstream * transposed_conv2d(x, p))."""
-    _check_tconv_config(p)
-    _check_input(x, p, "transposed_conv2d_vjp")
+    _check_input(x, p, "transposed_conv2d_vjp", _TCONV_CONFIGS)
     n, _, h, w = x.shape
     expect = (n, p.cout, 2 * h, 2 * w)
     if upstream.shape != expect or upstream.dtype != x.dtype:

@@ -24,7 +24,6 @@ _SHUFFLE_TAG = 0xA5A5A5A5A5A5A5A5
 @dataclass
 class TrainConfig:
     batch_size: int = 8
-    input_size: int = 256
     initial_lr: float = 1e-4
     lr_decay: float = 0.9
     lr_decay_steps: int = 2000

@@ -168,6 +168,20 @@ class TestEval:
         assert cli.main(["eval", "--config", str(conf), "--data", dataset_dir,
                          "--ckpt", ckpt]) == 1
 
+    @pytest.mark.parametrize("value", ["0", "-1", "x"])
+    def test_rfbs_threads_env_checked_like_the_flag(self, dataset_dir, ckpt,
+                                                    monkeypatch, value, tmp_path):
+        monkeypatch.setenv("RFBS_THREADS", value)
+        assert cli.main(["eval", "--data", dataset_dir, "--ckpt", ckpt]) == 1
+        # a usage error wins over the data error of a missing dataset
+        assert cli.main(["eval", "--data", str(tmp_path / "none"), "--ckpt", ckpt]) == 1
+
+    def test_rfbs_threads_env_sets_workers(self, dataset_dir, ckpt, monkeypatch,
+                                           capsys):
+        monkeypatch.setenv("RFBS_THREADS", "2")
+        assert cli.main(["eval", "--data", dataset_dir, "--ckpt", ckpt]) == 0
+        assert "# threads = 2" in capsys.readouterr().out.splitlines()
+
 
 class TestBench:
     def test_iters_flag(self, ckpt, tmp_path, capsys):
@@ -227,6 +241,7 @@ class TestInfer:
         rc = cli.main(["infer", "--ckpt", ckpt, "--in", str(img),
                        "--out", str(tmp_path / "o.pgm")])
         assert rc == 2
+        assert "multiples of 16" in capsys.readouterr().err
 
     def test_truncated_pgm_exit_2(self, ckpt, tmp_path):
         img = tmp_path / "trunc.pgm"

@@ -92,6 +92,8 @@ class TestConv2d:
                         padding=2),
             conv_params(np.zeros((1, 1, 1, 1), np.float32), np.zeros(1, np.float32),
                         stride=2),
+            # per axis k3 s1 p0 and k1 s1 p0 are both supported, but not a 3x1 kernel
+            conv_params(np.zeros((1, 1, 3, 1), np.float32), np.zeros(1, np.float32)),
         ]
         for p in bad:
             with pytest.raises(UnsupportedConfigError):
@@ -136,17 +138,16 @@ class TestConv2dVjp:
 
 class TestMaxpool:
     def test_simple(self):
-        y, _ = ops.maxpool2x2(tensor.from_values([1, 1, 2, 2], [1, 2, 3, 4]))
+        y = ops.maxpool2x2(tensor.from_values([1, 1, 2, 2], [1, 2, 3, 4]))
         assert y.item() == 4.0
 
     def test_all_negative(self):
-        y, _ = ops.maxpool2x2(tensor.from_values([1, 1, 2, 2], [-1, -2, -3, -4]))
+        y = ops.maxpool2x2(tensor.from_values([1, 1, 2, 2], [-1, -2, -3, -4]))
         assert y.item() == -1.0
 
     def test_shape_halving(self):
-        y, am = ops.maxpool2x2(np.zeros((1, 1, 256, 256), np.float32))
+        y = ops.maxpool2x2(np.zeros((1, 1, 256, 256), np.float32))
         assert y.shape == (1, 1, 128, 128)
-        assert am.shape == (1, 1, 128, 128)
 
     def test_odd_extent_rejected(self):
         with pytest.raises(ShapeError):
@@ -154,20 +155,34 @@ class TestMaxpool:
 
     def test_vjp_routes_to_max(self):
         x = tensor.from_values([1, 1, 2, 2], [1, 2, 3, 4])
-        _, am = ops.maxpool2x2(x)
-        dx = ops.maxpool2x2_vjp(am, np.ones((1, 1, 1, 1), np.float32))
+        dx = ops.maxpool2x2_vjp(x, np.ones((1, 1, 1, 1), np.float32))
         assert dx.ravel().tolist() == [0, 0, 0, 1]
 
     def test_tie_first_row_major(self):
         x = tensor.from_values([1, 1, 2, 2], [5, 5, 0, 0])
-        _, am = ops.maxpool2x2(x)
-        dx = ops.maxpool2x2_vjp(am, np.ones((1, 1, 1, 1), np.float32))
+        dx = ops.maxpool2x2_vjp(x, np.ones((1, 1, 1, 1), np.float32))
         assert dx.ravel().tolist() == [1, 0, 0, 0]
 
-    def test_argmax_indices_are_global_flat(self):
-        x = rand_f32((2, 3, 4, 6), seed=8)
-        y, am = ops.maxpool2x2(x)
-        assert np.array_equal(x.ravel()[am.ravel()].reshape(y.shape), y)
+    def test_vjp_upstream_shape_checked(self):
+        with pytest.raises(ShapeError):
+            ops.maxpool2x2_vjp(np.zeros((1, 1, 4, 4), np.float32),
+                               np.zeros((1, 1, 1, 2), np.float32))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 4),
+           st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_tied_inputs_match_brute_force(self, seed, c, h2, w2):
+        # values in {0, 1, 2}: most windows hold a tie for their maximum
+        x = np.floor(3 * rand_f32((2, c, 2 * h2, 2 * w2), seed=seed))
+        up = rand_f32((2, c, h2, w2), seed=seed ^ 1) + 1  # nonzero everywhere
+        y = ops.maxpool2x2(x)
+        assert np.array_equal(y, x.reshape(2, c, h2, 2, w2, 2).max(axis=(3, 5)))
+        want = np.zeros_like(x)
+        for n, ci, i, j in np.ndindex(up.shape):
+            window = [(2 * i + a, 2 * j + b) for a in (0, 1) for b in (0, 1)]
+            r, q = next(rq for rq in window if x[n, ci][rq] == y[n, ci, i, j])
+            want[n, ci, r, q] = up[n, ci, i, j]
+        assert np.array_equal(ops.maxpool2x2_vjp(x, up), want)
 
 
 class TestTransposedConv:
@@ -311,7 +326,7 @@ class TestShapeLaws:
     def test_pool_tconv_upsample_shapes(self, c, h2, w2):
         h, w = 2 * h2, 2 * w2
         x = np.zeros((1, c, h, w), np.float32)
-        assert ops.maxpool2x2(x)[0].shape == (1, c, h2, w2)
+        assert ops.maxpool2x2(x).shape == (1, c, h2, w2)
         assert ops.nearest_upsample2x(x).shape == (1, c, 2 * h, 2 * w)
         p = conv_params(np.zeros((2, c, 2, 2), np.float32), np.zeros(2, np.float32),
                         stride=2)
