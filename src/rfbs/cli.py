@@ -45,6 +45,13 @@ def _parse_bool(raw):
     raise UsageError(f"expected a boolean, got {raw!r}")
 
 
+def _positive_int(raw):
+    value = int(raw)
+    if value < 1:
+        raise UsageError(f"must be >= 1, got {value}")
+    return value
+
+
 # name -> (type, default, help); default None marks a required value.
 _COMMANDS = {
     "generate": {
@@ -68,7 +75,7 @@ _COMMANDS = {
         "ckpt": (str, None, "checkpoint path"),
         "split": (str, "val", "split to evaluate: train|val|all"),
         "tsv": (str, "", "also write the records to this file"),
-        "threads": (int, 1, "worker count (default: RFBS_THREADS, else 1)"),
+        "threads": (_positive_int, 1, "worker count (default: RFBS_THREADS, else 1)"),
     },
     "bench": {
         "ckpt": (str, None, "checkpoint path"),
@@ -136,23 +143,26 @@ def _read_config_file(path, options):
 
 def _resolve(args, command):
     """defaults <- RFBS_THREADS <- config file <- explicit flags, with type
-    conversion."""
+    conversion; a conversion error names the source of the bad value."""
     options = _COMMANDS[command]
-    explicit = {k.replace("_", "-"): v for k, v in vars(args).items()
-                if k not in ("command", "config")}
-    raw = {}
+    raw = {}  # name -> (value, source)
     if "threads" in options and "RFBS_THREADS" in os.environ:
-        raw["threads"] = os.environ["RFBS_THREADS"]
+        raw["threads"] = (os.environ["RFBS_THREADS"], "RFBS_THREADS")
     if hasattr(args, "config"):
-        raw.update(_read_config_file(args.config, options))
-    raw.update(explicit)
+        for k, v in _read_config_file(args.config, options).items():
+            raw[k] = (v, f"{args.config}: {k}")
+    for k, v in vars(args).items():
+        if k not in ("command", "config"):
+            k = k.replace("_", "-")
+            raw[k] = (v, f"--{k}")
     cfg = {}
     for name, (typ, default, _help) in options.items():
         if name in raw:
+            value, source = raw[name]
             try:
-                cfg[name] = typ(raw[name])
+                cfg[name] = typ(value)
             except (ValueError, UsageError) as e:
-                raise UsageError(f"--{name}: {e}") from None
+                raise UsageError(f"{source}: {e}") from None
         elif default is None:
             raise UsageError(f"missing required option --{name}")
         else:
@@ -226,8 +236,6 @@ def _eval_one(spec, params, sample):
 def cmd_eval(cfg):
     if cfg["split"] not in ("train", "val", "all"):
         raise UsageError(f"--split must be train, val, or all, got {cfg['split']!r}")
-    if cfg["threads"] < 1:
-        raise UsageError(f"--threads must be >= 1, got {cfg['threads']}")
     dataset = data.load_dataset(cfg["data"])
     part = dataset.part(cfg["split"])
     if not part:

@@ -137,6 +137,11 @@ def op_checks(tol=OP_TOL):
                     padding=0, seed=13),
         _conv_entry("conv2d k1 s1 p0", (1, 3, 4, 4), cout=2, kernel=1, stride=1,
                     padding=0, seed=14),
+        # four stride phases, odd extents padded up to even, and a batch of two
+        _conv_entry("conv2d k3 s2 p0", (2, 2, 7, 5), cout=2, kernel=3, stride=2,
+                    padding=0, seed=21),
+        _conv_entry("conv2d k2 s2 p0", (1, 2, 5, 7), cout=3, kernel=2, stride=2,
+                    padding=0, seed=22),
         _tconv_entry("transposed_conv2d k2 s2", (1, 3, 4, 4), cout=2, seed=15),
         _maxpool_entry("maxpool2x2", (1, 2, 6, 6), seed=16),
         _relu_entry("relu", (1, 2, 5, 5), seed=17),

@@ -5,10 +5,13 @@ Conventions: tensors are NCHW, convolution is cross-correlation (no kernel
 flip), kernels are square, and one int stride and one int padding apply to
 both spatial axes, so Hout = floor((H + 2*pad - K)/stride) + 1. Only the
 configurations the network needs are supported: conv k3 s{1,2} p{0,1},
-conv k1 s1 p0, max-pool 2x2 s2, transposed conv k2 s2. Every forward is
-deterministic (bit-identical for identical inputs), ReLU's gradient at
-exactly 0 is 0, and the max-pool VJP recomputes each window's winner from
-its input, breaking ties to the first element in row-major window order.
+conv k1 s1 p0, max-pool 2x2 s2, transposed conv k2 s2. conv2d and its VJP
+share one GEMM layout, a shifted-row patch matrix: K*K contiguous column
+slices of the zero-padded, channel-major input split into its stride phases
+(see _shifted_rows). Every forward is deterministic (bit-identical for
+identical inputs), ReLU's gradient at exactly 0 is 0, and the max-pool VJP
+recomputes each window's winner from its input, breaking ties to the first
+element in row-major window order.
 """
 
 from dataclasses import dataclass, field
@@ -90,41 +93,68 @@ def _conv_geometry(x, p, op):
     return k, hout, wout
 
 
-def _im2col(x, k, s, pad):
-    """Patch matrix (N*Hout*Wout, Cin*K*K) of the zero-padded input."""
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    win = win[:, :, ::s, ::s]  # (n, c, hout, wout, k, k)
-    n, c, hout, wout = win.shape[:4]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5))
-    return cols.reshape(n * hout * wout, c * k * k)
+def _shifted_rows(xshape, k, s, pad):
+    """Layout of the shifted-row patch matrix (after Anderson et al., "Low-memory
+    GEMM-based convolution algorithms", arXiv:1709.03395).
+
+    The input is zero-padded, channel-major, to (Cin, N, s*Hq, s*Wq) and split
+    into its s*s stride phases, each flattened to N*Hq*Wq columns. Output
+    pixel (n, i, j) is column m = n*Hq*Wq + i*Wq + j, and kernel tap (a, b)
+    reads column m + (a//s)*Wq + b//s of phase (a%s)*s + b%s. So the patch
+    matrix is K*K contiguous column slices of width `span`, and the GEMM's
+    output columns are already image rows of Hq x Wq per channel, of which
+    each image keeps its first Hout x Wout. A kept column's taps stay inside
+    its own image; the other columns read across and are dropped (forward)
+    or get zero upstream (VJP). Returns (hq, wq, span, taps) with taps
+    [(phase, column offset)] in row-major (a, b) order.
+    """
+    n, _, h, w = xshape
+    hq, wq = -(-(h + 2 * pad) // s), -(-(w + 2 * pad) // s)
+    reach = (k - 1) // s
+    span = n * hq * wq - reach * wq - reach
+    taps = [((a % s) * s + b % s, (a // s) * wq + b // s)
+            for a in range(k) for b in range(k)]
+    return hq, wq, span, taps
 
 
-def _col2im(dcols, xshape, k, s, pad, hout, wout):
-    """Adjoint of _im2col: scatter-add patch gradients back onto the input."""
-    n, c, h, w = xshape
-    dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=dcols.dtype)
-    dwin = dcols.reshape(n, hout, wout, c, k, k).transpose(0, 3, 1, 2, 4, 5)
-    for a in range(k):
-        for b in range(k):
-            dxp[:, :, a : a + s * hout : s, b : b + s * wout : s] += dwin[
-                :, :, :, :, a, b
-            ]
-    if pad:
-        return np.ascontiguousarray(dxp[:, :, pad : pad + h, pad : pad + w])
-    return dxp
+def _channel_major(a, pad, hp, wp):
+    """a (N, C, H, W) as a (C, N, hp, wp) array holding a at offset (pad, pad)
+    and zeros elsewhere; no copy when no zeros are needed and N == 1."""
+    n, c, h, w = a.shape
+    if (hp, wp) == (h, w):
+        return np.ascontiguousarray(a.transpose(1, 0, 2, 3))
+    out = np.zeros((c, n, hp, wp), dtype=a.dtype)
+    out[:, :, pad:pad + h, pad:pad + w] = a.transpose(1, 0, 2, 3)
+    return out
+
+
+def _patches(x, s, pad, hq, wq, span, taps):
+    """(Cin*K*K, span) patch matrix with rows in the weight's own (cin, a, b)
+    order, so the weight needs no reorder; at k == 1 it is the input itself."""
+    n, c = x.shape[:2]
+    xp = _channel_major(x, pad, s * hq, s * wq)
+    ph = xp.reshape(c, n, hq, s, wq, s).transpose(3, 5, 0, 1, 2, 4)
+    ph = ph.reshape(s * s, c, n * hq * wq)  # no copy at s == 1
+    if len(taps) == 1:
+        return ph[0]
+    cols = np.empty((c, len(taps), span), dtype=x.dtype)
+    for t, (i, off) in enumerate(taps):
+        cols[:, t] = ph[i, :, off:off + span]
+    return cols.reshape(c * len(taps), span)
 
 
 def conv2d(x, p):
     """Cross-correlation plus bias; output (N, Cout, Hout, Wout)."""
     k, hout, wout = _conv_geometry(x, p, "conv2d")
-    cols = _im2col(x, k, p.stride, p.padding)
-    y = cols @ p.weight.reshape(p.cout, -1).T
-    y += p.bias[None, :]
-    return np.ascontiguousarray(
-        y.reshape(x.shape[0], hout, wout, p.cout).transpose(0, 3, 1, 2)
-    )
+    hq, wq, span, taps = _shifted_rows(x.shape, k, p.stride, p.padding)
+    cols = _patches(x, p.stride, p.padding, hq, wq, span, taps)
+    n = x.shape[0]
+    y = np.empty((p.cout, n * hq * wq), dtype=x.dtype)
+    np.matmul(p.weight.reshape(p.cout, -1), cols, out=y[:, :span])
+    rows = y.reshape(p.cout, n, hq, wq)[:, :, :hout, :wout]
+    out = np.empty((n, p.cout, hout, wout), dtype=x.dtype)
+    np.add(rows.transpose(1, 0, 2, 3), p.bias[None, :, None, None], out=out)
+    return out
 
 
 def conv2d_vjp(x, p, upstream):
@@ -134,13 +164,26 @@ def conv2d_vjp(x, p, upstream):
     if upstream.shape != expect or upstream.dtype != x.dtype:
         raise ShapeError(f"conv2d_vjp: upstream must be {expect} {x.dtype}, got "
                          f"{upstream.shape} {upstream.dtype}")
-    cols = _im2col(x, k, p.stride, p.padding)
-    up2 = np.ascontiguousarray(upstream.transpose(0, 2, 3, 1)).reshape(-1, p.cout)
-    dbias = up2.sum(axis=0)
-    dweight = (up2.T @ cols).reshape(p.weight.shape)
-    dcols = up2 @ p.weight.reshape(p.cout, -1)
-    dx = _col2im(dcols, x.shape, k, p.stride, p.padding, hout, wout)
-    return dx, dweight, dbias
+    n, cin, h, w = x.shape
+    s, pad = p.stride, p.padding
+    hq, wq, span, taps = _shifted_rows(x.shape, k, s, pad)
+    cols = _patches(x, s, pad, hq, wq, span, taps)
+    # zero upstream on the columns conv2d drops
+    up = _channel_major(upstream, 0, hq, wq).reshape(p.cout, -1)[:, :span]
+    dbias = upstream.sum(axis=(0, 2, 3))
+    dweight = (up @ cols.T).reshape(p.weight.shape)
+    del cols
+    dcols = (p.weight.reshape(p.cout, -1).T @ up).reshape(cin, k * k, span)
+    if k == 1:
+        dph = dcols.reshape(1, cin, span)
+    else:
+        dph = np.zeros((s * s, cin, n * hq * wq), dtype=x.dtype)
+        for t, (i, off) in enumerate(taps):
+            dph[i, :, off:off + span] += dcols[:, t]
+    dxp = dph.reshape(s, s, cin, n, hq, wq).transpose(2, 3, 4, 0, 5, 1)
+    dxp = dxp.reshape(cin, n, s * hq, s * wq)
+    dx = dxp[:, :, pad:pad + h, pad:pad + w].transpose(1, 0, 2, 3)
+    return np.ascontiguousarray(dx), dweight, dbias
 
 
 def _pool_taps(x, op):

@@ -159,20 +159,31 @@ class TestEval:
         assert cli.main(["eval", "--data", dataset_dir, "--ckpt", ckpt,
                          "--split", "test"]) == 1
 
-    def test_threads_below_one_usage_error(self, dataset_dir, ckpt, tmp_path):
-        for value in ("0", "-2"):
+    def test_threads_below_one_usage_error(self, dataset_dir, ckpt, tmp_path,
+                                           monkeypatch, capsys):
+        monkeypatch.setenv("RFBS_THREADS", "2")
+        conf = tmp_path / "eval.conf"
+        for value in ("0", "-2", "x"):
             assert cli.main(["eval", "--data", dataset_dir, "--ckpt", ckpt,
                              "--threads", value]) == 1
-        conf = tmp_path / "eval.conf"
-        conf.write_text("threads = 0\n")
-        assert cli.main(["eval", "--config", str(conf), "--data", dataset_dir,
-                         "--ckpt", ckpt]) == 1
+            assert "usage error: --threads: " in capsys.readouterr().err
+            conf.write_text(f"threads = {value}\n")
+            assert cli.main(["eval", "--config", str(conf), "--data", dataset_dir,
+                             "--ckpt", ckpt]) == 1
+            assert f"usage error: {conf}: threads: " in capsys.readouterr().err
+            # an explicit flag's label wins over the file's
+            assert cli.main(["eval", "--config", str(conf), "--data", dataset_dir,
+                             "--ckpt", ckpt, "--threads", value]) == 1
+            err = capsys.readouterr().err
+            assert "usage error: --threads: " in err and str(conf) not in err
 
     @pytest.mark.parametrize("value", ["0", "-1", "x"])
     def test_rfbs_threads_env_checked_like_the_flag(self, dataset_dir, ckpt,
-                                                    monkeypatch, value, tmp_path):
+                                                    monkeypatch, value, tmp_path,
+                                                    capsys):
         monkeypatch.setenv("RFBS_THREADS", value)
         assert cli.main(["eval", "--data", dataset_dir, "--ckpt", ckpt]) == 1
+        assert "usage error: RFBS_THREADS: " in capsys.readouterr().err
         # a usage error wins over the data error of a missing dataset
         assert cli.main(["eval", "--data", str(tmp_path / "none"), "--ckpt", ckpt]) == 1
 

@@ -16,7 +16,8 @@ def conv_params(weight, bias, stride=1, padding=0):
 
 
 def naive_conv2d(x, w, b, stride, pad):
-    """Direct-summation oracle, independent of the im2col path."""
+    """Direct-summation oracle, one multiply-add per tap, independent of the
+    patch-matrix layout conv2d uses."""
     n, cin, h, wdt = x.shape
     cout, _, kh, kw = w.shape
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
@@ -68,6 +69,37 @@ class TestConv2d:
             got = ops.conv2d(x, conv_params(w, b, stride, pad))
             want = naive_conv2d(x, w, b, stride, pad)
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @given(st.sampled_from(sorted(ops._CONV_CONFIGS)), st.sampled_from([1, 3]),
+           st.integers(0, 5), st.integers(0, 5), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_every_config_matches_oracles(self, config, n, dh, dw, seed):
+        # from the smallest input with one output pixel up, odd and even H != W
+        k, stride, pad = config
+        h, w = max(1, k - 2 * pad) + dh, max(1, k - 2 * pad) + dw
+        x = rand_f64((n, 2, h, w), seed=seed)
+        wt = rand_f64((3, 2, k, k), seed=seed ^ 1)
+        b = rand_f64((3,), seed=seed ^ 2)
+        p = conv_params(wt, b, stride, pad)
+        y = ops.conv2d(x, p)
+        want = naive_conv2d(x, wt, b, stride, pad)
+        assert np.allclose(y, want, rtol=1e-12, atol=1e-12)
+
+        u = rand_f64(y.shape, seed=seed ^ 3)
+        dx, dweight, dbias = ops.conv2d_vjp(x, p, u)
+        assert dx.shape == x.shape and dweight.shape == wt.shape
+        # conv2d(x) - b is linear in x, so <conv2d(x) - b, u> = <x, dx>
+        lhs = np.sum((y - b[:, None, None]) * u)
+        assert math.isclose(lhs, np.sum(x * dx), rel_tol=1e-12, abs_tol=1e-12)
+        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        want_dw, want_db = np.zeros_like(wt), np.zeros_like(b)
+        for ni, co, i, j in np.ndindex(u.shape):
+            want_db[co] += u[ni, co, i, j]
+            for ci, a, bb in np.ndindex(wt.shape[1:]):
+                want_dw[co, ci, a, bb] += u[ni, co, i, j] * xp[
+                    ni, ci, i * stride + a, j * stride + bb]
+        assert np.allclose(dweight, want_dw, rtol=1e-12, atol=1e-12)
+        assert np.allclose(dbias, want_db, rtol=1e-12, atol=1e-12)
 
     def test_channel_mismatch(self):
         x = np.zeros((1, 2, 4, 4), np.float32)
