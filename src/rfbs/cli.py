@@ -126,9 +126,11 @@ def _read_config_file(path, options):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise FormatError(f"cannot read config file {path}: {e}") from e
     for lineno, raw in enumerate(lines, 1):
+        if "\0" in raw:
+            raise FormatError(f"{path}:{lineno}: NUL character")
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -182,12 +184,9 @@ def _load_model(ckpt_path):
     return spec, params
 
 
-def _write_or_print(path, text):
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
+def _write(path, text):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def cmd_generate(cfg):
@@ -250,7 +249,7 @@ def cmd_eval(cfg):
     records = metrics.format_records(report)
     print(records, end="")
     if cfg["tsv"]:
-        _write_or_print(cfg["tsv"], records)
+        _write(cfg["tsv"], records)
     return 0
 
 
@@ -266,7 +265,7 @@ def cmd_bench(cfg):
     )
     print(bench.format_text(report), end="")
     if cfg["tsv"]:
-        _write_or_print(cfg["tsv"], bench.format_tsv(report))
+        _write(cfg["tsv"], bench.format_tsv(report))
     return 0
 
 
@@ -279,7 +278,7 @@ def cmd_analyze(cfg):
     report = analysis.count_flops(spec, (1, spec.in_channels, cfg["size"], cfg["size"]))
     print(analysis.format_table(report), end="")
     if cfg["tsv"]:
-        _write_or_print(cfg["tsv"], analysis.format_tsv(report))
+        _write(cfg["tsv"], analysis.format_tsv(report))
     return 0
 
 

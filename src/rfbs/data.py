@@ -255,23 +255,30 @@ def load_dataset(directory):
         raise FormatError(f"no manifest.tsv in {directory}")
     samples = []
     splits = []
-    with open(manifest, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2 or fields[1] not in ("train", "val"):
-                raise FormatError(f"manifest.tsv line {lineno}: bad record {line!r}")
-            sid, part = fields
-            image = read_pgm(os.path.join(directory, f"img_{sid}.pgm"))
-            mask = read_pgm(os.path.join(directory, f"mask_{sid}.pgm"))
-            if image.shape != mask.shape:
-                raise FormatError(f"sample {sid}: image/mask size mismatch")
-            if not np.isin(mask, (0.0, 1.0)).all():
-                raise FormatError(f"sample {sid}: mask is not binary")
-            samples.append(Sample(id=sid, image=image[None, :, :], mask=mask))
-            splits.append(part)
+    try:
+        with open(manifest, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{manifest} is not UTF-8: {e}") from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.rstrip("\n")
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2 or fields[1] not in ("train", "val"):
+            raise FormatError(f"manifest.tsv line {lineno}: bad record {line!r}")
+        sid, part = fields
+        paths = [os.path.join(directory, f"{kind}_{sid}.pgm") for kind in ("img", "mask")]
+        if not all(os.path.isfile(p) for p in paths):  # False on a NUL in sid too
+            raise FormatError(f"manifest.tsv line {lineno}: no img/mask PGM pair "
+                              f"for sample {sid!r}")
+        image, mask = (read_pgm(p) for p in paths)
+        if image.shape != mask.shape:
+            raise FormatError(f"sample {sid}: image/mask size mismatch")
+        if not np.isin(mask, (0.0, 1.0)).all():
+            raise FormatError(f"sample {sid}: mask is not binary")
+        samples.append(Sample(id=sid, image=image[None, :, :], mask=mask))
+        splits.append(part)
     if not samples:
         raise FormatError(f"manifest.tsv in {directory} lists no samples")
     return Dataset(samples=samples, splits=splits)

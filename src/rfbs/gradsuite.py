@@ -1,10 +1,11 @@
 """The op-level and whole-network gradient check suites.
 
-Everything runs in float64. Op-level checks cover every supported layer
-configuration exhaustively (all coordinates); the whole-network check runs
-the desk model on a 16x16 input and samples coordinates from every parameter
-tensor. Max-pool inputs are random floats (no ties) and ReLU inputs are kept
-away from the kink, per the subgradient conventions.
+Op-level checks run in float64 and cover every supported layer
+configuration exhaustively (all coordinates). The whole-network check runs
+the desk model on a 16x16 input, samples coordinates from every parameter
+tensor, and takes its finite differences in extended precision. Max-pool
+inputs are random floats (no ties) and ReLU inputs are kept away from the
+kink, per the subgradient conventions.
 """
 
 import numpy as np
@@ -23,92 +24,41 @@ def _rand(prng, shape, lo=-1.0, hi=1.0):
     return (lo + (hi - lo) * prng.fill_f64(n)).reshape(shape)
 
 
-def _conv_entry(name, xshape, cout, kernel, stride, padding, seed):
+def _conv_check(op, vjp, name, xshape, cout, kernel, stride, padding, seed, tol):
+    """Check a conv-like op pair (`op(x, p)`, `vjp(x, p, upstream)`) on x,
+    weight and bias drawn in that order from Prng(seed)."""
     prng = Prng(seed)
-    x = _rand(prng, xshape)
-    cin = xshape[1]
-    weight = _rand(prng, (cout, cin, kernel, kernel))
-    bias = _rand(prng, (cout,))
+    inputs = [
+        _rand(prng, xshape),
+        _rand(prng, (cout, xshape[1], kernel, kernel)),
+        _rand(prng, (cout,)),
+    ]
 
-    def f(x_, w_, b_):
-        p = ops.Conv2dParams(w_, b_, stride=stride, padding=padding)
-        return ops.conv2d(x_, p)
+    def params(w, b):
+        return ops.Conv2dParams(w, b, stride=stride, padding=padding)
 
-    def vjp(x_, w_, b_, up):
-        p = ops.Conv2dParams(w_, b_, stride=stride, padding=padding)
-        return ops.conv2d_vjp(x_, p, up)
-
-    return lambda tol: ops.grad_check(
-        name, f, vjp, [x, weight, bias], ["x", "weight", "bias"], tol=tol, seed=seed
+    return ops.grad_check(
+        name, lambda x, w, b: op(x, params(w, b)),
+        lambda x, w, b, up: vjp(x, params(w, b), up),
+        inputs, ["x", "weight", "bias"], tol=tol, seed=seed,
     )
 
 
-def _tconv_entry(name, xshape, cout, seed):
-    prng = Prng(seed)
-    x = _rand(prng, xshape)
-    weight = _rand(prng, (cout, xshape[1], 2, 2))
-    bias = _rand(prng, (cout,))
-
-    def f(x_, w_, b_):
-        return ops.transposed_conv2d(x_, ops.Conv2dParams(w_, b_, stride=2))
-
-    def vjp(x_, w_, b_, up):
-        return ops.transposed_conv2d_vjp(x_, ops.Conv2dParams(w_, b_, stride=2), up)
-
-    return lambda tol: ops.grad_check(
-        name, f, vjp, [x, weight, bias], ["x", "weight", "bias"], tol=tol, seed=seed
+def _unary_check(name, op, vjp, draw, seed, tol):
+    """Check a one-input op on x = draw(Prng(seed)); `vjp(x, upstream)` is dx."""
+    return ops.grad_check(
+        name, op, lambda x, up: (vjp(x, up),), [draw(Prng(seed))], ["x"],
+        tol=tol, seed=seed,
     )
 
 
-def _maxpool_entry(name, xshape, seed):
-    x = _rand(Prng(seed), xshape)  # continuous draws: tie probability ~0
-
-    def vjp(x_, up):
-        return (ops.maxpool2x2_vjp(x_, up),)
-
-    return lambda tol: ops.grad_check(
-        name, ops.maxpool2x2, vjp, [x], ["x"], tol=tol, seed=seed
-    )
+def _off_kink(prng, shape):
+    # |x| in [0.2, 1]: finite differences stay on one side of relu's kink
+    mag = _rand(prng, shape, 0.2, 1.0)
+    return mag * np.where(_rand(prng, shape) > 0.0, 1.0, -1.0)
 
 
-def _relu_entry(name, xshape, seed):
-    # |x| in [0.2, 1]: finite differences stay on one side of the kink
-    prng = Prng(seed)
-    mag = _rand(prng, xshape, 0.2, 1.0)
-    sign = np.where(_rand(prng, xshape) > 0.0, 1.0, -1.0)
-    x = mag * sign
-
-    def vjp(x_, up):
-        return (ops.relu_vjp(x_, up),)
-
-    return lambda tol: ops.grad_check(
-        name, ops.relu, vjp, [x], ["x"], tol=tol, seed=seed
-    )
-
-
-def _upsample_entry(name, xshape, seed):
-    x = _rand(Prng(seed), xshape)
-
-    def vjp(x_, up):
-        return (ops.nearest_upsample2x_vjp(up),)
-
-    return lambda tol: ops.grad_check(
-        name, ops.nearest_upsample2x, vjp, [x], ["x"], tol=tol, seed=seed
-    )
-
-
-def _softmax_entry(name, xshape, seed):
-    x = _rand(Prng(seed), xshape, -2.0, 2.0)
-
-    def vjp(x_, up):
-        return (ops.softmax_channels_vjp(ops.softmax_channels(x_), up),)
-
-    return lambda tol: ops.grad_check(
-        name, ops.softmax_channels, vjp, [x], ["x"], tol=tol, seed=seed
-    )
-
-
-def _dice_loss_entry(name, seed):
+def _dice_loss_check(name, seed, tol):
     prng = Prng(seed)
     logits = _rand(prng, (2, 2, 4, 4), -1.5, 1.5)
     prob = ops.softmax_channels(logits)
@@ -121,40 +71,54 @@ def _dice_loss_entry(name, seed):
         _, dprob = soft_dice_loss(prob_, target)
         return (dprob * up[0],)
 
-    return lambda tol: ops.grad_check(
+    return ops.grad_check(
         name, f, vjp, [prob], ["prob"], upstream=np.ones(1), tol=tol, seed=seed
     )
 
 
+# (name, xshape, cout, kernel, stride, padding, seed) of each conv2d check
+_CONV2D_CHECKS = [
+    ("conv2d k3 s2 p1", (1, 2, 5, 5), 3, 3, 2, 1, 11),
+    ("conv2d k3 s1 p1", (1, 2, 6, 6), 2, 3, 1, 1, 12),
+    ("conv2d k3 s1 p0", (1, 2, 5, 5), 2, 3, 1, 0, 13),
+    ("conv2d k1 s1 p0", (1, 3, 4, 4), 2, 1, 1, 0, 14),
+    # four stride phases, odd extents padded up to even, and a batch of two
+    ("conv2d k3 s2 p0", (2, 2, 7, 5), 2, 3, 2, 0, 21),
+    ("conv2d k2 s2 p0", (1, 2, 5, 7), 3, 2, 2, 0, 22),
+]
+
+
 def op_checks(tol=OP_TOL):
     """Run every op-level check; returns the list of GradCheckReports."""
-    entries = [
-        _conv_entry("conv2d k3 s2 p1", (1, 2, 5, 5), cout=3, kernel=3, stride=2,
-                    padding=1, seed=11),
-        _conv_entry("conv2d k3 s1 p1", (1, 2, 6, 6), cout=2, kernel=3, stride=1,
-                    padding=1, seed=12),
-        _conv_entry("conv2d k3 s1 p0", (1, 2, 5, 5), cout=2, kernel=3, stride=1,
-                    padding=0, seed=13),
-        _conv_entry("conv2d k1 s1 p0", (1, 3, 4, 4), cout=2, kernel=1, stride=1,
-                    padding=0, seed=14),
-        # four stride phases, odd extents padded up to even, and a batch of two
-        _conv_entry("conv2d k3 s2 p0", (2, 2, 7, 5), cout=2, kernel=3, stride=2,
-                    padding=0, seed=21),
-        _conv_entry("conv2d k2 s2 p0", (1, 2, 5, 7), cout=3, kernel=2, stride=2,
-                    padding=0, seed=22),
-        _tconv_entry("transposed_conv2d k2 s2", (1, 3, 4, 4), cout=2, seed=15),
-        _maxpool_entry("maxpool2x2", (1, 2, 6, 6), seed=16),
-        _relu_entry("relu", (1, 2, 5, 5), seed=17),
-        _upsample_entry("nearest_upsample2x", (1, 2, 3, 3), seed=18),
-        _softmax_entry("softmax_channels", (1, 3, 4, 4), seed=19),
-        _dice_loss_entry("soft_dice_loss", seed=20),
+    reports = [_conv_check(ops.conv2d, ops.conv2d_vjp, *c, tol)
+               for c in _CONV2D_CHECKS]
+    reports.append(_conv_check(
+        ops.transposed_conv2d, ops.transposed_conv2d_vjp,
+        "transposed_conv2d k2 s2", (1, 3, 4, 4), 2, 2, 2, 0, 15, tol,
+    ))
+    unary = [
+        # continuous draws: tie probability ~0
+        ("maxpool2x2", ops.maxpool2x2, ops.maxpool2x2_vjp,
+         lambda prng: _rand(prng, (1, 2, 6, 6)), 16),
+        ("relu", ops.relu, ops.relu_vjp,
+         lambda prng: _off_kink(prng, (1, 2, 5, 5)), 17),
+        ("nearest_upsample2x", ops.nearest_upsample2x,
+         lambda x, up: ops.nearest_upsample2x_vjp(up),
+         lambda prng: _rand(prng, (1, 2, 3, 3)), 18),
+        ("softmax_channels", ops.softmax_channels,
+         lambda x, up: ops.softmax_channels_vjp(ops.softmax_channels(x), up),
+         lambda prng: _rand(prng, (1, 3, 4, 4), -2.0, 2.0), 19),
     ]
-    return [entry(tol) for entry in entries]
+    reports += [_unary_check(*u, tol) for u in unary]
+    reports.append(_dice_loss_check("soft_dice_loss", 20, tol))
+    return reports
 
 
 def network_check(tol=NET_TOL, coords_per_tensor=6, seed=7):
-    """Finite-difference check of backward() over every parameter tensor of
-    the desk model (f64, 16x16 input, sampled coordinates per tensor)."""
+    """Finite-difference check of the f64 backward() over every parameter
+    tensor of the desk model (16x16 input, sampled coordinates per tensor).
+    The finite-difference forwards run in np.longdouble, so their rounding
+    noise sits far below NET_TOL even on gradients near 1e-6."""
     spec = build_rfbsnet_desk()
     params = init_params(spec, seed=seed, dtype=np.float64)
     names = params.names()
@@ -162,42 +126,32 @@ def network_check(tol=NET_TOL, coords_per_tensor=6, seed=7):
     x = _rand(prng, (1, 1, 16, 16), 0.0, 1.0)
     upstream = _rand(prng, (1, spec.num_classes, 16, 16))
 
-    def run(thetas, keep_intermediates):
+    def run(thetas, dtype, keep_intermediates):
         for name, theta in zip(names, thetas):
-            params[name] = theta
-        return forward(spec, params, x, keep_intermediates)
+            params[name] = theta.astype(dtype)
+        return forward(spec, params, x.astype(dtype), keep_intermediates)
 
     def vjp(*args):
-        grads = backward(run(args[:-1], True)[1], args[-1])
+        grads = backward(run(args[:-1], np.float64, True)[1], args[-1])
         return [grads[name] for name in names]
 
     return ops.grad_check(
-        "rfbsnet-desk network", lambda *thetas: run(thetas, False)[0], vjp,
-        [params[name] for name in names], names, upstream=upstream, tol=tol,
+        "rfbsnet-desk network", lambda *thetas: run(thetas, np.longdouble, False)[0],
+        vjp, [params[name] for name in names], names, upstream=upstream, tol=tol,
         max_coords=coords_per_tensor, seed=prng.state,  # coordinates continue this stream
     )
 
 
-def corrupted_conv_check(tol=OP_TOL, seed=11):
-    """Negative control: conv vjp with dweight scaled by 1.1 must fail."""
-    prng = Prng(seed)
-    x = _rand(prng, (1, 2, 5, 5))
-    weight = _rand(prng, (3, 2, 3, 3))
-    bias = _rand(prng, (3,))
+def corrupted_conv_check(tol=OP_TOL):
+    """Negative control: the first conv2d check with dweight scaled by 1.1;
+    it must fail."""
 
-    def f(x_, w_, b_):
-        return ops.conv2d(x_, ops.Conv2dParams(w_, b_, stride=2, padding=1))
-
-    def vjp(x_, w_, b_, up):
-        dx, dw, db = ops.conv2d_vjp(
-            x_, ops.Conv2dParams(w_, b_, stride=2, padding=1), up
-        )
+    def vjp(x, p, up):
+        dx, dw, db = ops.conv2d_vjp(x, p, up)
         return dx, dw * 1.1, db
 
-    return ops.grad_check(
-        "negative control (dweight +10%)", f, vjp, [x, weight, bias],
-        ["x", "weight", "bias"], tol=tol, seed=seed,
-    )
+    return _conv_check(ops.conv2d, vjp, "negative control (dweight +10%)",
+                       *_CONV2D_CHECKS[0][1:], tol)
 
 
 def run_suite(scale="small", net_tol=NET_TOL, op_tol=OP_TOL, corrupt=False):

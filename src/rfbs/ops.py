@@ -271,12 +271,8 @@ def nearest_upsample2x(x):
 
 def nearest_upsample2x_vjp(upstream):
     """Adjoint of replication: each 2x2 upstream block sums to one gradient."""
-    if not isinstance(upstream, np.ndarray) or upstream.ndim != 4:
-        raise ShapeError("nearest_upsample2x_vjp upstream must be rank-4")
-    n, c, h, w = upstream.shape
-    if h % 2 or w % 2:
-        raise ShapeError(f"nearest_upsample2x_vjp: odd upstream extents {h}x{w}")
-    return upstream.reshape(n, c, h // 2, 2, w // 2, 2).sum(axis=(3, 5))
+    t = _pool_taps(upstream, "nearest_upsample2x_vjp")
+    return (t[0] + t[1]) + (t[2] + t[3])
 
 
 def relu(x):
@@ -353,10 +349,11 @@ def grad_check(
     """Compare vjp-reported gradients of sum(upstream * f(*inputs)) against
     central finite differences, coordinate by coordinate.
 
-    All inputs must be float64. `f(*inputs)` returns an array; `vjp(*inputs,
-    upstream)` returns one gradient array per input (None entries are
-    skipped). With max_coords set, a seeded subset of coordinates per input
-    is checked instead of every coordinate.
+    All inputs must be float64. `f(*inputs)` returns an array, possibly of a
+    wider float dtype; the central differences are taken in that dtype.
+    `vjp(*inputs, upstream)` returns one gradient array per input (None
+    entries are skipped). With max_coords set, a seeded subset of
+    coordinates per input is checked instead of every coordinate.
     """
     inputs = [np.asarray(v) for v in inputs]
     for v in inputs:
@@ -375,17 +372,16 @@ def grad_check(
     analytic = vjp(*inputs, upstream)
     report = GradCheckReport(op=op, tolerance=tol)
 
-    def scalar(args):
-        return float(np.sum(upstream * f(*args), dtype=np.float64))
+    def scalar(args):  # in f's output dtype, which may be wider than f64
+        return np.sum(upstream * f(*args))
 
-    for name, value, grad in zip(input_names, inputs, analytic):
+    for idx, (name, value, grad) in enumerate(zip(input_names, inputs, analytic)):
         if grad is None:
             continue
         if not np.isfinite(grad).all():
             raise NumericsError(f"grad_check({op}): non-finite gradient for {name}")
         worst = 0.0
         work = [v.copy() for v in inputs]
-        idx = next(i for i, v in enumerate(inputs) if v is value)
         for k in _sample_coords(value.size, max_coords, prng):
             orig = work[idx].flat[k]
             work[idx].flat[k] = orig + h
@@ -393,7 +389,7 @@ def grad_check(
             work[idx].flat[k] = orig - h
             minus = scalar(work)
             work[idx].flat[k] = orig
-            numeric = (plus - minus) / (2.0 * h)
+            numeric = float((plus - minus) / (2.0 * h))
             worst = max(worst, _rel_err(float(grad.flat[k]), numeric))
             report.coords_checked += 1
         report.per_input[name] = worst

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from rfbs import model
 
@@ -32,6 +33,17 @@ def run_cli(args, env_extra=None, cwd=None):
         env=env,
         cwd=cwd,
     )
+
+
+def corrupted(fuzz, blob):
+    """`blob` with 1-4 bytes overwritten, then cut or extended by up to 8
+    bytes, every choice drawn from the hypothesis `st.data()` object `fuzz`."""
+    out = bytearray(blob)
+    for _ in range(fuzz.draw(st.integers(1, 4))):
+        pos = fuzz.draw(st.integers(0, len(out) - 1))
+        out[pos] = fuzz.draw(st.integers(0, 255))
+    out = bytes(out[: fuzz.draw(st.integers(0, len(out)))])
+    return out + fuzz.draw(st.binary(max_size=8))
 
 
 def rand_f32(shape, seed):

@@ -3,8 +3,12 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rfbs import cli, data, model, tensor
+
+from conftest import corrupted
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +42,14 @@ def dir_digest(path):
 def test_threads_only_on_eval(command, capsys):
     assert cli.main([command, "--threads", "2"]) == 1
     assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_non_utf8_manifest_exit_2(ckpt, tmp_path, capsys, command):
+    (tmp_path / "manifest.tsv").write_bytes(b"p0\t\xff\n")
+    rest = {"train": ["--out", str(tmp_path / "m.ckpt")], "eval": ["--ckpt", ckpt]}
+    assert cli.main([command, "--data", str(tmp_path), *rest[command]]) == 2
+    assert "UTF-8" in capsys.readouterr().err
 
 
 class TestGenerate:
@@ -86,6 +98,29 @@ class TestConfigFile:
         conf.write_text("count 4\n")
         assert cli.main(["generate", "--config", str(conf),
                          "--out", str(tmp_path / "d")]) == 2
+
+    @pytest.mark.parametrize("line", [b"out = \xff\xfe\n", b"out = a\0b\n"])
+    def test_non_utf8_or_nul_exit_2(self, tmp_path, capsys, line):
+        conf = tmp_path / "bad.conf"
+        conf.write_bytes(line)
+        assert cli.main(["generate", "--config", str(conf)]) == 2
+        assert str(conf) in capsys.readouterr().err
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_fuzzed_file_exits_0_1_or_2(self, ckpt, tmp_path, monkeypatch, fuzz):
+        # relative paths in a fuzzed file land in tmp_path
+        monkeypatch.chdir(tmp_path)
+        if not os.path.exists("in.pgm"):
+            data.write_pgm("in.pgm", data.generate_phantoms(1, 64, seed=6).samples[0].image)
+        command, text = fuzz.draw(st.sampled_from([
+            ("analyze", "arch = rfbsnet-desk\nsize = 64\ntsv = rows.tsv\n"),
+            ("infer", f"ckpt = {ckpt}\nin = in.pgm\nout = o.pgm\nprob-out = p.rft1\n"),
+        ]))
+        with open("fuzz.conf", "wb") as fh:
+            fh.write(corrupted(fuzz, text.encode()))
+        assert cli.main([command, "--config", "fuzz.conf"]) in (0, 1, 2)
 
 
 class TestTrain:

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from rfbs import data
 from rfbs.errors import FormatError, ShapeError
+
+from conftest import corrupted
 
 
 class TestPrng:
@@ -218,3 +222,54 @@ class TestDatasetIo:
         (d / "manifest.tsv").write_text("p0000\tother\n")
         with pytest.raises(FormatError):
             data.load_dataset(d)
+
+    def test_non_utf8_manifest(self, tmp_path):
+        (tmp_path / "manifest.tsv").write_bytes(b"p0\t\xff\n")
+        with pytest.raises(FormatError, match="UTF-8"):
+            data.load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("sid", ["p9999", "p\0", ""])
+    def test_sample_without_pgm_pair(self, tmp_path, sid):
+        data.save_dataset(tmp_path, data.generate_phantoms(2, 64, seed=3))
+        (tmp_path / "manifest.tsv").write_text(f"p0000\ttrain\n{sid}\tval\n")
+        with pytest.raises(FormatError, match="line 2"):
+            data.load_dataset(tmp_path)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    data.save_dataset(root, data.split(data.generate_phantoms(2, 64, seed=3), 0.5, 3))
+    return root
+
+
+class TestParserFuzz:
+    """Malformed files raise FormatError and nothing else."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_read_pgm(self, fuzz_dir, fuzz):
+        valid = b"P5\n# c\n3 2\n255\n" + bytes([0, 9, 255, 128, 7, 1])
+        if fuzz.draw(st.booleans()):
+            blob = corrupted(fuzz, valid)
+        else:
+            blob = fuzz.draw(st.binary(max_size=32))
+        path = fuzz_dir / "fuzz.pgm"
+        path.write_bytes(blob)
+        try:
+            img = data.read_pgm(path)
+        except FormatError:
+            return
+        assert img.dtype == np.float32 and img.ndim == 2
+        assert 0.0 <= img.min() and img.max() <= 1.0
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_manifest(self, fuzz_dir, fuzz):
+        manifest = fuzz_dir / "manifest.tsv"
+        manifest.write_bytes(corrupted(fuzz, b"p0000\ttrain\np0001\tval\n"))
+        try:
+            ds = data.load_dataset(fuzz_dir)
+        except FormatError:
+            return
+        assert len(ds) >= 1 and set(ds.splits) <= {"train", "val"}

@@ -33,6 +33,13 @@ def test_network_check_passes():
     assert len(report.per_input) == n_params
 
 
+def test_network_check_passes_at_full_scale():
+    # `rfbs gradcheck --scale full`: 24 coordinates per tensor, 625 in all
+    report = gradsuite.network_check(coords_per_tensor=24)
+    assert report.passed, f"network max rel error {report.max_rel_error:.3e}"
+    assert report.coords_checked == 625
+
+
 def test_grad_check_requires_f64():
     x = np.zeros((1, 1, 2, 2), np.float32)
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from rfbs import model, ops
 from rfbs.errors import FormatError, NumericsError, ShapeError
 
-from conftest import join_spec, rand_f32
+from conftest import corrupted, join_spec, rand_f32
 
 
 class TestBuild:
@@ -308,13 +308,7 @@ class TestCheckpointFuzz:
         spec = join_spec("add", 1, 1)
         path = tmp_path / "fuzz.ckpt"
         model.save_checkpoint(path, spec, model.init_params(spec, seed=6))
-        corrupt = bytearray(path.read_bytes())
-        for _ in range(data.draw(st.integers(1, 4))):
-            pos = data.draw(st.integers(0, len(corrupt) - 1))
-            corrupt[pos] = data.draw(st.integers(0, 255))
-        corrupt = bytes(corrupt[: data.draw(st.integers(0, len(corrupt)))])
-        corrupt += data.draw(st.binary(max_size=8))
-        path.write_bytes(corrupt)
+        path.write_bytes(corrupted(data, path.read_bytes()))
         for expected in (None, spec):
             try:
                 model.load_checkpoint(path, expected_spec=expected)

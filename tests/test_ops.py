@@ -295,6 +295,12 @@ class TestUpsample:
     def test_vjp_block_sums(self):
         up = tensor.from_values([1, 1, 2, 2], [1, 2, 3, 4])
         assert ops.nearest_upsample2x_vjp(up).item() == 10.0
+        for dtype in (np.float32, np.float64):  # bit-equal to the reference block sum
+            up = rand_f64((2, 3, 6, 8), seed=63).astype(dtype)
+            ref = up.reshape(2, 3, 3, 2, 4, 2).sum(axis=(3, 5))
+            assert ops.nearest_upsample2x_vjp(up).tobytes() == ref.tobytes()
+        with pytest.raises(ShapeError, match="even"):
+            ops.nearest_upsample2x_vjp(np.zeros((1, 1, 3, 2)))
 
 
 class TestRelu:
