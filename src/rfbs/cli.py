@@ -184,6 +184,12 @@ def _load_model(ckpt_path):
     return spec, params
 
 
+def _check_size(size, spec):
+    m = spec.total_downsampling_factor
+    if size < m or size % m:
+        raise UsageError(f"--size must be a positive multiple of {m}, got {size}")
+
+
 def _write(path, text):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -255,10 +261,7 @@ def cmd_eval(cfg):
 
 def cmd_bench(cfg):
     spec, params = _load_model(cfg["ckpt"])
-    if cfg["size"] % spec.total_downsampling_factor:
-        raise UsageError(
-            f"--size must be a multiple of {spec.total_downsampling_factor}"
-        )
+    _check_size(cfg["size"], spec)
     report = bench.bench_forward(
         spec, params, (1, spec.in_channels, cfg["size"], cfg["size"]),
         iters=cfg["iters"], warmup=cfg["warmup"],
@@ -275,6 +278,7 @@ def cmd_analyze(cfg):
             f"unknown architecture {cfg['arch']!r}; known: {', '.join(KNOWN_ARCHS)}"
         )
     spec = model.build_rfbsnet_desk()
+    _check_size(cfg["size"], spec)
     report = analysis.count_flops(spec, (1, spec.in_channels, cfg["size"], cfg["size"]))
     print(analysis.format_table(report), end="")
     if cfg["tsv"]:

@@ -302,8 +302,9 @@ class Tape:
 def forward(spec, params, x, keep_intermediates=False):
     """Run the graph; returns (probability map, tape).
 
-    The tape is None unless keep_intermediates is set. Activations are
-    scanned for non-finite values after every node and reported by name.
+    The tape is None unless keep_intermediates is set; without a tape, each
+    activation is released after the last node that reads it. Activations
+    are scanned for non-finite values after every node and reported by name.
     """
     if not isinstance(x, np.ndarray) or x.ndim != 4:
         raise ShapeError("forward input must be a rank-4 NCHW array")
@@ -314,7 +315,8 @@ def forward(spec, params, x, keep_intermediates=False):
         )
     infer_shapes(spec, x.shape)  # channel, concat and add agreement, per node
     values = {spec.input_name: x}
-    for node in spec.nodes:
+    last_use = {s: i for i, node in enumerate(spec.nodes) for s in node.inputs}
+    for i, node in enumerate(spec.nodes):
         ins = [values[s] for s in node.inputs]
         if node.kind == "conv":
             out = ops.conv2d(ins[0], _conv_params(node, params))
@@ -335,6 +337,10 @@ def forward(spec, params, x, keep_intermediates=False):
         if not np.isfinite(out).all():
             raise NumericsError(f"non-finite activation in node {node.name!r}")
         values[node.name] = out
+        if not keep_intermediates:  # drop what no later node reads
+            for s in node.inputs:
+                if last_use[s] == i:
+                    values.pop(s, None)
     y = values[spec.output_name]
     if keep_intermediates:
         return y, Tape(spec, params, values, spec.output_name)

@@ -6,12 +6,13 @@ flip), kernels are square, and one int stride and one int padding apply to
 both spatial axes, so Hout = floor((H + 2*pad - K)/stride) + 1. Only the
 configurations the network needs are supported: conv k3 s{1,2} p{0,1},
 conv k1 s1 p0, max-pool 2x2 s2, transposed conv k2 s2. conv2d and its VJP
-share one GEMM layout, a shifted-row patch matrix: K*K contiguous column
-slices of the zero-padded, channel-major input split into its stride phases
-(see _shifted_rows). Every forward is deterministic (bit-identical for
-identical inputs), ReLU's gradient at exactly 0 is 0, and the max-pool VJP
-recomputes each window's winner from its input, breaking ties to the first
-element in row-major window order.
+run one image at a time and share one GEMM layout, a shifted-row patch
+matrix: K*K contiguous column slices of the zero-padded, channel-major image
+split into its stride phases (see _shifted_rows). The VJP sums the weight
+gradient over the images in index order. Every forward is deterministic
+(bit-identical for identical inputs), ReLU's gradient at exactly 0 is 0,
+and the max-pool VJP recomputes each window's winner from its input,
+breaking ties to the first element in row-major window order.
 """
 
 from dataclasses import dataclass, field
@@ -93,48 +94,47 @@ def _conv_geometry(x, p, op):
     return k, hout, wout
 
 
-def _shifted_rows(xshape, k, s, pad):
-    """Layout of the shifted-row patch matrix (after Anderson et al., "Low-memory
-    GEMM-based convolution algorithms", arXiv:1709.03395).
+def _shifted_rows(h, w, k, s, pad):
+    """Layout of the shifted-row patch matrix of one image (after Anderson et
+    al., "Low-memory GEMM-based convolution algorithms", arXiv:1709.03395).
 
-    The input is zero-padded, channel-major, to (Cin, N, s*Hq, s*Wq) and split
-    into its s*s stride phases, each flattened to N*Hq*Wq columns. Output
-    pixel (n, i, j) is column m = n*Hq*Wq + i*Wq + j, and kernel tap (a, b)
-    reads column m + (a//s)*Wq + b//s of phase (a%s)*s + b%s. So the patch
-    matrix is K*K contiguous column slices of width `span`, and the GEMM's
-    output columns are already image rows of Hq x Wq per channel, of which
-    each image keeps its first Hout x Wout. A kept column's taps stay inside
-    its own image; the other columns read across and are dropped (forward)
-    or get zero upstream (VJP). Returns (hq, wq, span, taps) with taps
-    [(phase, column offset)] in row-major (a, b) order.
+    The image is zero-padded, channel-major, to (Cin, s*Hq, s*Wq) and split
+    into its s*s stride phases, each flattened to Hq*Wq columns. Output pixel
+    (i, j) is column m = i*Wq + j, and kernel tap (a, b) reads column
+    m + (a//s)*Wq + b//s of phase (a%s)*s + b%s. So the patch matrix is K*K
+    contiguous column slices of width `span`, and the GEMM's output columns
+    are already image rows of Hq x Wq per channel, of which the first
+    Hout x Wout are kept; the other columns wrap to the next row and are
+    dropped (forward) or get zero upstream (VJP). Returns (hq, wq, span,
+    taps) with taps [(phase, column offset)] in row-major (a, b) order.
     """
-    n, _, h, w = xshape
     hq, wq = -(-(h + 2 * pad) // s), -(-(w + 2 * pad) // s)
     reach = (k - 1) // s
-    span = n * hq * wq - reach * wq - reach
+    span = hq * wq - reach * wq - reach
     taps = [((a % s) * s + b % s, (a // s) * wq + b // s)
             for a in range(k) for b in range(k)]
     return hq, wq, span, taps
 
 
 def _channel_major(a, pad, hp, wp):
-    """a (N, C, H, W) as a (C, N, hp, wp) array holding a at offset (pad, pad)
-    and zeros elsewhere; no copy when no zeros are needed and N == 1."""
-    n, c, h, w = a.shape
+    """One image a (C, H, W) as a (C, hp, wp) array holding a at offset
+    (pad, pad) and zeros elsewhere; no copy when no zeros are needed."""
+    c, h, w = a.shape
     if (hp, wp) == (h, w):
-        return np.ascontiguousarray(a.transpose(1, 0, 2, 3))
-    out = np.zeros((c, n, hp, wp), dtype=a.dtype)
-    out[:, :, pad:pad + h, pad:pad + w] = a.transpose(1, 0, 2, 3)
+        return a
+    out = np.zeros((c, hp, wp), dtype=a.dtype)
+    out[:, pad:pad + h, pad:pad + w] = a
     return out
 
 
 def _patches(x, s, pad, hq, wq, span, taps):
-    """(Cin*K*K, span) patch matrix with rows in the weight's own (cin, a, b)
-    order, so the weight needs no reorder; at k == 1 it is the input itself."""
-    n, c = x.shape[:2]
+    """(Cin*K*K, span) patch matrix of one image x (Cin, H, W), with rows in
+    the weight's own (cin, a, b) order, so the weight needs no reorder; at
+    k == 1 it is the image itself."""
+    c = x.shape[0]
     xp = _channel_major(x, pad, s * hq, s * wq)
-    ph = xp.reshape(c, n, hq, s, wq, s).transpose(3, 5, 0, 1, 2, 4)
-    ph = ph.reshape(s * s, c, n * hq * wq)  # no copy at s == 1
+    ph = xp.reshape(c, hq, s, wq, s).transpose(2, 4, 0, 1, 3)
+    ph = ph.reshape(s * s, c, hq * wq)  # no copy at s == 1
     if len(taps) == 1:
         return ph[0]
     cols = np.empty((c, len(taps), span), dtype=x.dtype)
@@ -144,21 +144,26 @@ def _patches(x, s, pad, hq, wq, span, taps):
 
 
 def conv2d(x, p):
-    """Cross-correlation plus bias; output (N, Cout, Hout, Wout)."""
+    """Cross-correlation plus bias; output (N, Cout, Hout, Wout). Runs one
+    GEMM per image, so each image's patch matrix stays small."""
     k, hout, wout = _conv_geometry(x, p, "conv2d")
-    hq, wq, span, taps = _shifted_rows(x.shape, k, p.stride, p.padding)
-    cols = _patches(x, p.stride, p.padding, hq, wq, span, taps)
-    n = x.shape[0]
-    y = np.empty((p.cout, n * hq * wq), dtype=x.dtype)
-    np.matmul(p.weight.reshape(p.cout, -1), cols, out=y[:, :span])
-    rows = y.reshape(p.cout, n, hq, wq)[:, :, :hout, :wout]
+    n, _, h, w = x.shape
+    s, pad = p.stride, p.padding
+    hq, wq, span, taps = _shifted_rows(h, w, k, s, pad)
+    wmat = p.weight.reshape(p.cout, -1)
+    bias = p.bias[:, None, None]
+    y = np.empty((p.cout, hq, wq), dtype=x.dtype)
     out = np.empty((n, p.cout, hout, wout), dtype=x.dtype)
-    np.add(rows.transpose(1, 0, 2, 3), p.bias[None, :, None, None], out=out)
+    for i in range(n):
+        cols = _patches(x[i], s, pad, hq, wq, span, taps)
+        np.matmul(wmat, cols, out=y.reshape(p.cout, -1)[:, :span])
+        np.add(y[:, :hout, :wout], bias, out=out[i])
     return out
 
 
 def conv2d_vjp(x, p, upstream):
-    """Gradients of sum(upstream * conv2d(x, p)) w.r.t. (x, weight, bias)."""
+    """Gradients of sum(upstream * conv2d(x, p)) w.r.t. (x, weight, bias).
+    Runs per image like conv2d; dweight sums the images in index order."""
     k, hout, wout = _conv_geometry(x, p, "conv2d_vjp")
     expect = (x.shape[0], p.cout, hout, wout)
     if upstream.shape != expect or upstream.dtype != x.dtype:
@@ -166,24 +171,28 @@ def conv2d_vjp(x, p, upstream):
                          f"{upstream.shape} {upstream.dtype}")
     n, cin, h, w = x.shape
     s, pad = p.stride, p.padding
-    hq, wq, span, taps = _shifted_rows(x.shape, k, s, pad)
-    cols = _patches(x, s, pad, hq, wq, span, taps)
-    # zero upstream on the columns conv2d drops
-    up = _channel_major(upstream, 0, hq, wq).reshape(p.cout, -1)[:, :span]
+    hq, wq, span, taps = _shifted_rows(h, w, k, s, pad)
+    wmat = p.weight.reshape(p.cout, -1)
+    dweight = np.zeros(wmat.shape, dtype=x.dtype)
+    dx = np.empty(x.shape, dtype=x.dtype)
+    for i in range(n):
+        cols = _patches(x[i], s, pad, hq, wq, span, taps)
+        # zero upstream on the columns conv2d drops
+        up = _channel_major(upstream[i], 0, hq, wq).reshape(p.cout, -1)[:, :span]
+        dweight += up @ cols.T
+        del cols
+        dcols = (wmat.T @ up).reshape(cin, k * k, span)
+        if k == 1:
+            dph = dcols.reshape(1, cin, span)
+        else:
+            dph = np.zeros((s * s, cin, hq * wq), dtype=x.dtype)
+            for t, (j, off) in enumerate(taps):
+                dph[j, :, off:off + span] += dcols[:, t]
+        dxp = dph.reshape(s, s, cin, hq, wq).transpose(2, 3, 0, 4, 1)
+        dxp = dxp.reshape(cin, s * hq, s * wq)
+        dx[i] = dxp[:, pad:pad + h, pad:pad + w]
     dbias = upstream.sum(axis=(0, 2, 3))
-    dweight = (up @ cols.T).reshape(p.weight.shape)
-    del cols
-    dcols = (p.weight.reshape(p.cout, -1).T @ up).reshape(cin, k * k, span)
-    if k == 1:
-        dph = dcols.reshape(1, cin, span)
-    else:
-        dph = np.zeros((s * s, cin, n * hq * wq), dtype=x.dtype)
-        for t, (i, off) in enumerate(taps):
-            dph[i, :, off:off + span] += dcols[:, t]
-    dxp = dph.reshape(s, s, cin, n, hq, wq).transpose(2, 3, 4, 0, 5, 1)
-    dxp = dxp.reshape(cin, n, s * hq, s * wq)
-    dx = dxp[:, :, pad:pad + h, pad:pad + w].transpose(1, 0, 2, 3)
-    return np.ascontiguousarray(dx), dweight, dbias
+    return dx, dweight.reshape(p.weight.shape), dbias
 
 
 def _pool_taps(x, op):

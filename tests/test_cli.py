@@ -52,6 +52,14 @@ def test_non_utf8_manifest_exit_2(ckpt, tmp_path, capsys, command):
     assert "UTF-8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("size", ["17", "0", "-16"])
+@pytest.mark.parametrize("command", ["analyze", "bench"])
+def test_size_not_a_positive_multiple_of_16(ckpt, capsys, command, size):
+    ckpt_flag = ["--ckpt", ckpt] if command == "bench" else []
+    assert cli.main([command, *ckpt_flag, "--size", size]) == 1
+    assert "--size" in capsys.readouterr().err
+
+
 class TestGenerate:
     def test_reports_count(self, dataset_dir, capsys):
         assert len(data.load_dataset(dataset_dir)) == 10

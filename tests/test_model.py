@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -97,6 +99,35 @@ class TestForward:
         a, _ = model.forward(desk_spec, desk_params, x)
         b, _ = model.forward(desk_spec, desk_params, x)
         assert a.tobytes() == b.tobytes()
+
+    def test_batch_equals_separate_images(self, desk_spec, desk_params):
+        x = rand_f32((4, 1, 64, 64), seed=72)
+        batch, _ = model.forward(desk_spec, desk_params, x)
+        for i in range(x.shape[0]):
+            one, _ = model.forward(desk_spec, desk_params, x[i:i + 1])
+            assert one[0].tobytes() == batch[i].tobytes()
+
+    def test_releases_activations_only_without_tape(self, desk_spec, desk_params,
+                                                     monkeypatch):
+        relu, softmax = ops.relu, ops.softmax_channels
+        relu_outs, live_at_softmax = [], []
+
+        def tracked_relu(x):
+            y = relu(x)
+            relu_outs.append(weakref.ref(y))
+            return y
+
+        def tracked_softmax(x):  # the last node: no relu output is read again
+            live_at_softmax.append(sum(r() is not None for r in relu_outs))
+            return softmax(x)
+
+        monkeypatch.setattr(ops, "relu", tracked_relu)
+        monkeypatch.setattr(ops, "softmax_channels", tracked_softmax)
+        x = rand_f32((1, 1, 32, 32), seed=73)
+        model.forward(desk_spec, desk_params, x)
+        relu_outs.clear()
+        model.forward(desk_spec, desk_params, x, keep_intermediates=True)
+        assert live_at_softmax == [0, len(relu_outs)] and relu_outs
 
     def test_spatial_shape_preserved_across_sizes(self, desk_spec, desk_params):
         for size_h, size_w in [(32, 48), (64, 32), (96, 96), (112, 64)]:

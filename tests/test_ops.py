@@ -167,6 +167,26 @@ class TestConv2dVjp:
         with pytest.raises(ShapeError):
             ops.conv2d_vjp(x, p, np.zeros((1, 3, 9, 9), np.float64))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("config", sorted(ops._CONV_CONFIGS),
+                             ids=lambda c: "k%ds%dp%d" % c)
+    def test_batch_equals_separate_images(self, config, dtype):
+        # each image runs alone, and dweight sums the images in index order
+        k, stride, pad = config
+        x = rand_f64((3, 4, 12, 10), seed=37).astype(dtype)
+        p = conv_params(rand_f64((5, 4, k, k), seed=38).astype(dtype),
+                        rand_f64((5,), seed=39).astype(dtype), stride, pad)
+        y = ops.conv2d(x, p)
+        u = rand_f64(y.shape, seed=40).astype(dtype)
+        dx, dweight, _ = ops.conv2d_vjp(x, p, u)
+        summed = np.zeros_like(dweight)
+        for i in range(x.shape[0]):
+            assert ops.conv2d(x[i:i + 1], p)[0].tobytes() == y[i].tobytes()
+            dxi, dwi, _ = ops.conv2d_vjp(x[i:i + 1], p, u[i:i + 1])
+            assert dxi[0].tobytes() == dx[i].tobytes()
+            summed += dwi
+        assert summed.tobytes() == dweight.tobytes()
+
 
 class TestMaxpool:
     def test_simple(self):
