@@ -7,7 +7,6 @@ from the rows; the human-readable report rounds to 3 decimals.
 """
 
 import platform
-import statistics
 import time
 from dataclasses import dataclass
 
@@ -16,6 +15,7 @@ import numpy as np
 from .analysis import count_flops
 from .data import Prng
 from .errors import ShapeError
+from .metrics import mean_std
 from .model import forward
 
 _INPUT_SEED = 0x52464253  # fixed input stream for reproducible predictions
@@ -39,10 +39,7 @@ class BenchReport:
 
 def stats(samples):
     """(mean, sample stdev, min, max); stdev is 0 for a single sample."""
-    if not samples:
-        raise ShapeError("stats needs at least one sample")
-    mean = statistics.fmean(samples)
-    std = statistics.stdev(samples) if len(samples) > 1 else 0.0
+    mean, std = mean_std(samples)
     return mean, std, min(samples), max(samples)
 
 

@@ -7,6 +7,7 @@ explicit command-line flags win, unknown keys are rejected, and the effective
 configuration is echoed as `# key = value` lines before any other output.
 """
 
+import math
 import os
 import sys
 
@@ -45,11 +46,20 @@ def _parse_bool(raw):
     raise UsageError(f"expected a boolean, got {raw!r}")
 
 
-def _positive_int(raw):
-    value = int(raw)
-    if value < 1:
-        raise UsageError(f"must be >= 1, got {value}")
-    return value
+def _checked(convert, ok, rule):
+    """An option type: `convert` the raw string, then require `ok(value)`."""
+
+    def typ(raw):
+        value = convert(raw)
+        if not ok(value):
+            raise UsageError(f"must be {rule}, got {value}")
+        return value
+
+    return typ
+
+
+_positive_int = _checked(int, lambda v: v >= 1, ">= 1")
+_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
 
 
 # name -> (type, default, help); default None marks a required value.
@@ -59,14 +69,15 @@ _COMMANDS = {
         "count": (int, 250, "number of phantoms"),
         "size": (int, 256, "image size (even, >= 64)"),
         "seed": (int, 0, "generation/split seed"),
-        "train-fraction": (float, 0.8, "train split fraction"),
+        "train-fraction": (_checked(float, lambda v: 0 < v < 1, "in (0, 1)"), 0.8,
+                           "train split fraction"),
     },
     "train": {
         "data": (str, None, "dataset directory"),
         "out": (str, None, "checkpoint output path"),
-        "epochs": (int, 15, "training epochs"),
-        "batch": (int, 8, "batch size"),
-        "lr": (float, 1e-4, "initial learning rate"),
+        "epochs": (_positive_int, 15, "training epochs"),
+        "batch": (_positive_int, 8, "batch size"),
+        "lr": (_positive_float, 1e-4, "initial learning rate"),
         "seed": (int, 0, "init/shuffle seed"),
         "log": (str, "", "train log path (default: <out>.log)"),
     },
@@ -79,8 +90,9 @@ _COMMANDS = {
     },
     "bench": {
         "ckpt": (str, None, "checkpoint path"),
-        "iters": (int, 100, "timed iterations"),
-        "warmup": (int, 10, "untimed warmup iterations"),
+        "iters": (_positive_int, 100, "timed iterations"),
+        "warmup": (_checked(int, lambda v: v >= 0, ">= 0"), 10,
+                   "untimed warmup iterations"),
         "size": (int, 256, "input H = W"),
         "tsv": (str, "", "also write per-iteration rows to this file"),
     },
@@ -97,7 +109,7 @@ _COMMANDS = {
     },
     "gradcheck": {
         "scale": (str, "small", "coordinate sampling: small|full"),
-        "tol": (float, 1e-5, "whole-network tolerance"),
+        "tol": (_positive_float, 1e-5, "whole-network tolerance"),
         "self-test-corrupt": (_parse_bool, False, "inject a broken gradient "
                               "(negative control; must fail)"),
     },

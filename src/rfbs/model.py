@@ -3,7 +3,7 @@ inference, forward/backward execution, parameter init, and checkpoints.
 
 The desk topology instantiates the four-module design at fixed widths:
 
-  downsampler   conv k3 s2 (in -> 16-in) || maxpool 2x2, concatenated to 16
+  downsampler   conv k3 s2 (1 -> 15) || maxpool 2x2, concatenated to 16
                 channels at H/2, then ReLU
   shallow       one conv k3 s1 16->16 + ReLU on the downsampler output
   deep encoder  three stages of [conv s2, ReLU, conv s1, ReLU] widening
@@ -11,8 +11,8 @@ The desk topology instantiates the four-module design at fixed widths:
   decoder       transposed-conv 2x stages with additive skips from the
                 encoder stages back up to 16 channels at H/2
   fusion        decoder output + shallow output + downsampler output
-  classifier    2x upsample (nearest by default, learnable tconv optional),
-                pointwise conv to the class count, per-pixel softmax
+  classifier    nearest 2x upsample, pointwise conv 16->2 (brain vs
+                background), per-pixel softmax
 
 Spatial extents must be multiples of 16 so the additive skips line up.
 """
@@ -91,36 +91,31 @@ def config_hash(spec):
     return zlib.crc32("\n".join(parts).encode("utf-8")) & 0xFFFFFFFF
 
 
-def build_rfbsnet_desk(in_channels=1, num_classes=2, learnable_upsample=False):
-    """Desk-scale RFBSNet graph; (N, in, H, W) -> (N, classes, H, W) softmax maps."""
-    if not 1 <= in_channels <= BASE_WIDTH - 1:
-        raise ShapeError(f"in_channels must be in 1..{BASE_WIDTH - 1}, got {in_channels}")
-    if num_classes < 2:
-        raise ShapeError(f"num_classes must be >= 2, got {num_classes}")
-    conv_path = BASE_WIDTH - in_channels  # pool path carries the raw input channels
-    nodes = [
-        LayerNode("ds_conv", "conv", ("image",), in_channels, conv_path, 3, 2, 1),
+def build_rfbsnet_desk():
+    """Desk-scale RFBSNet graph; (N, 1, H, W) -> (N, 2, H, W) softmax maps."""
+    nodes = (
+        # downsampler: the pool path carries the one input channel
+        LayerNode("ds_conv", "conv", ("image",), 1, BASE_WIDTH - 1, 3, 2, 1),
         LayerNode("ds_pool", "maxpool", ("image",)),
         LayerNode("ds_cat", "concat", ("ds_conv", "ds_pool")),
         LayerNode("ds_relu", "relu", ("ds_cat",)),
         # shallow branch: detail at H/2
         LayerNode("sh_conv", "conv", ("ds_relu",), 16, 16, 3, 1, 1),
         LayerNode("sh_relu", "relu", ("sh_conv",)),
-    ]
-    # deep branch: three downsampling stages, 16 -> 32 -> 64 -> 128
-    widths = [16, 32, 64, 128]
-    src = "ds_relu"
-    for i in range(3):
-        cin, cout = widths[i], widths[i + 1]
-        nodes += [
-            LayerNode(f"e{i+1}_conv_a", "conv", (src,), cin, cout, 3, 2, 1),
-            LayerNode(f"e{i+1}_relu_a", "relu", (f"e{i+1}_conv_a",)),
-            LayerNode(f"e{i+1}_conv_b", "conv", (f"e{i+1}_relu_a",), cout, cout, 3, 1, 1),
-            LayerNode(f"e{i+1}_relu_b", "relu", (f"e{i+1}_conv_b",)),
-        ]
-        src = f"e{i+1}_relu_b"
-    # decoder with additive encoder skips
-    nodes += [
+        # deep branch: three downsampling stages, 16 -> 32 -> 64 -> 128
+        LayerNode("e1_conv_a", "conv", ("ds_relu",), 16, 32, 3, 2, 1),
+        LayerNode("e1_relu_a", "relu", ("e1_conv_a",)),
+        LayerNode("e1_conv_b", "conv", ("e1_relu_a",), 32, 32, 3, 1, 1),
+        LayerNode("e1_relu_b", "relu", ("e1_conv_b",)),
+        LayerNode("e2_conv_a", "conv", ("e1_relu_b",), 32, 64, 3, 2, 1),
+        LayerNode("e2_relu_a", "relu", ("e2_conv_a",)),
+        LayerNode("e2_conv_b", "conv", ("e2_relu_a",), 64, 64, 3, 1, 1),
+        LayerNode("e2_relu_b", "relu", ("e2_conv_b",)),
+        LayerNode("e3_conv_a", "conv", ("e2_relu_b",), 64, 128, 3, 2, 1),
+        LayerNode("e3_relu_a", "relu", ("e3_conv_a",)),
+        LayerNode("e3_conv_b", "conv", ("e3_relu_a",), 128, 128, 3, 1, 1),
+        LayerNode("e3_relu_b", "relu", ("e3_conv_b",)),
+        # decoder with additive encoder skips
         LayerNode("d1_up", "tconv", ("e3_relu_b",), 128, 64, 2, 2, 0),
         LayerNode("d1_add", "add", ("d1_up", "e2_relu_b")),
         LayerNode("d1_conv", "conv", ("d1_add",), 64, 64, 3, 1, 1),
@@ -133,23 +128,19 @@ def build_rfbsnet_desk(in_channels=1, num_classes=2, learnable_upsample=False):
         # fuse decoder, shallow branch, and downsampler output by addition
         LayerNode("fuse_a", "add", ("d3_up", "sh_relu")),
         LayerNode("fuse_b", "add", ("fuse_a", "ds_relu")),
-    ]
-    if learnable_upsample:
-        nodes.append(LayerNode("head_up", "tconv", ("fuse_b",), 16, 16, 2, 2, 0))
-    else:
-        nodes.append(LayerNode("head_up", "upsample_nearest", ("fuse_b",)))
-    nodes += [
-        LayerNode("head_conv", "conv", ("head_up",), 16, num_classes, 1, 1, 0),
+        # classifier
+        LayerNode("head_up", "upsample_nearest", ("fuse_b",)),
+        LayerNode("head_conv", "conv", ("head_up",), 16, 2, 1, 1, 0),
         LayerNode("probs", "softmax", ("head_conv",)),
-    ]
+    )
     spec = ArchitectureSpec(
         arch_id="rfbsnet-desk",
         input_name="image",
         output_name="probs",
-        in_channels=in_channels,
-        num_classes=num_classes,
+        in_channels=1,
+        num_classes=2,
         total_downsampling_factor=16,
-        nodes=tuple(nodes),
+        nodes=nodes,
     )
     _validate_graph(spec)
     return spec
@@ -256,10 +247,6 @@ class ParameterStore:
         return out
 
 
-def _param_nodes(spec):
-    return [n for n in spec.nodes if n.kind in ("conv", "tconv")]
-
-
 def init_params(spec, seed, dtype=np.float32):
     """He-uniform weights U(-b, b) with b = sqrt(6 / (Cin*Kh*Kw)); zero biases.
 
@@ -268,15 +255,14 @@ def init_params(spec, seed, dtype=np.float32):
     """
     prng = Prng(seed)
     params = ParameterStore()
-    for node in _param_nodes(spec):
-        k = node.kernel
-        fan_in = node.cin * k * k
+    for name, shape in parameter_shapes(spec).items():
+        if name.endswith(".bias"):
+            params.add(name, np.zeros(shape, dtype=dtype))
+            continue
+        fan_in = int(np.prod(shape[1:]))
         bound = np.sqrt(6.0 / fan_in)
-        n = node.cout * node.cin * k * k
-        draws = prng.fill_f64(n) * 2.0 - 1.0
-        weight = (draws * bound).reshape(node.cout, node.cin, k, k).astype(dtype)
-        params.add(f"{node.name}.weight", weight)
-        params.add(f"{node.name}.bias", np.zeros(node.cout, dtype=dtype))
+        draws = prng.fill_f64(int(np.prod(shape))) * 2.0 - 1.0
+        params.add(name, (draws * bound).reshape(shape).astype(dtype))
     return params
 
 
@@ -296,7 +282,6 @@ class Tape:
     spec: ArchitectureSpec
     params: ParameterStore
     activations: dict
-    output_name: str
 
 
 def forward(spec, params, x, keep_intermediates=False):
@@ -343,7 +328,7 @@ def forward(spec, params, x, keep_intermediates=False):
                     values.pop(s, None)
     y = values[spec.output_name]
     if keep_intermediates:
-        return y, Tape(spec, params, values, spec.output_name)
+        return y, Tape(spec, params, values)
     return y, None
 
 
@@ -356,12 +341,12 @@ def backward(tape, loss_grad):
     if tape is None:
         raise ShapeError("backward needs a tape from forward(keep_intermediates=True)")
     spec, params, values = tape.spec, tape.params, tape.activations
-    out = values[tape.output_name]
+    out = values[spec.output_name]
     if loss_grad.shape != out.shape:
         raise ShapeError(
             f"loss_grad shape {loss_grad.shape} != output shape {out.shape}"
         )
-    upstream = {tape.output_name: loss_grad}
+    upstream = {spec.output_name: loss_grad}
     param_grads = {}
     for node in reversed(spec.nodes):
         up = upstream.pop(node.name, None)
@@ -474,8 +459,9 @@ def load_checkpoint(path, expected_spec=None):
 def parameter_shapes(spec):
     """Expected name -> shape map, in parameter order."""
     shapes = {}
-    for node in _param_nodes(spec):
-        k = node.kernel
-        shapes[f"{node.name}.weight"] = (node.cout, node.cin, k, k)
-        shapes[f"{node.name}.bias"] = (node.cout,)
+    for node in spec.nodes:
+        if node.kind in ("conv", "tconv"):
+            k = node.kernel
+            shapes[f"{node.name}.weight"] = (node.cout, node.cin, k, k)
+            shapes[f"{node.name}.bias"] = (node.cout,)
     return shapes

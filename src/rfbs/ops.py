@@ -351,7 +351,6 @@ def grad_check(
     input_names=None,
     upstream=None,
     tol=1e-6,
-    h=1e-5,
     max_coords=None,
     seed=0,
 ):
@@ -380,6 +379,7 @@ def grad_check(
         )
     analytic = vjp(*inputs, upstream)
     report = GradCheckReport(op=op, tolerance=tol)
+    h = 1e-5  # central-difference step
 
     def scalar(args):  # in f's output dtype, which may be wider than f64
         return np.sum(upstream * f(*args))

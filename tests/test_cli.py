@@ -52,6 +52,30 @@ def test_non_utf8_manifest_exit_2(ckpt, tmp_path, capsys, command):
     assert "UTF-8" in capsys.readouterr().err
 
 
+_REQUIRED = {"bench": ["--ckpt", "none.ckpt"], "generate": ["--out", "none"],
+             "train": ["--data", "none", "--out", "m.ckpt"], "gradcheck": []}
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("bench", "iters", "0"), ("bench", "warmup", "-1"),
+    ("train", "epochs", "0"), ("train", "batch", "0"),
+    ("train", "lr", "-1"), ("train", "lr", "0"), ("train", "lr", "nan"),
+    ("generate", "train-fraction", "1.5"), ("generate", "train-fraction", "0"),
+    ("generate", "train-fraction", "1"),
+    ("gradcheck", "tol", "-1"), ("gradcheck", "tol", "inf"),
+])
+def test_out_of_range_value_usage_error(tmp_path, monkeypatch, capsys, command, key,
+                                        value):
+    monkeypatch.chdir(tmp_path)  # the check must come before any file is written
+    assert cli.main([command, *_REQUIRED[command], f"--{key}", value]) == 1
+    assert f"usage error: --{key}: " in capsys.readouterr().err
+    conf = tmp_path / "c.conf"
+    conf.write_text(f"{key} = {value}\n")
+    assert cli.main([command, "--config", str(conf), *_REQUIRED[command]]) == 1
+    assert f"usage error: {conf}: {key}: " in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["c.conf"]
+
+
 @pytest.mark.parametrize("size", ["17", "0", "-16"])
 @pytest.mark.parametrize("command", ["analyze", "bench"])
 def test_size_not_a_positive_multiple_of_16(ckpt, capsys, command, size):
