@@ -1,5 +1,6 @@
-"""RFBSNet as a declarative layer graph: the desk-scale builder, shape
-inference, forward/backward execution, parameter init, and checkpoints.
+"""RFBSNet as a declarative layer graph: the desk-scale builder,
+forward/backward execution, shape inference (a forward on an empty batch, so
+the ops alone decide every shape), parameter init, and checkpoints.
 
 The desk topology instantiates the four-module design at fixed widths:
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import ops
 from .data import Prng
-from .errors import FormatError, NumericsError, ShapeError
+from .errors import FormatError, NumericsError, ShapeError, UnsupportedConfigError
 from .tensor import decode_rft1, encode_rft1
 
 BASE_WIDTH = 16  # fused channel width after the input downsampler
@@ -149,61 +150,20 @@ def build_rfbsnet_desk():
 def infer_shapes(spec, input_shape):
     """Per-node output shapes for the given NCHW input shape.
 
-    Raises ShapeError naming the first inconsistent node.
+    The ops decide every shape: this runs forward on an empty batch (zero
+    weights, no pixel computed) and puts the batch extent back on each
+    activation's shape. Raises ShapeError naming the first inconsistent node,
+    or UnsupportedConfigError naming a layer config the ops do not support.
     """
-    if len(input_shape) != 4:
-        raise ShapeError(f"input shape must be NCHW, got {input_shape}")
+    if len(input_shape) != 4 or any(int(v) < 1 for v in input_shape):
+        raise ShapeError(f"input shape must be NCHW with extents >= 1, got {input_shape}")
     n, c, h, w = (int(v) for v in input_shape)
-    if c != spec.in_channels:
-        raise ShapeError(
-            f"input has {c} channels, {spec.arch_id} expects {spec.in_channels}"
-        )
-    shapes = {spec.input_name: (n, c, h, w)}
-    for node in spec.nodes:
-        ins = [shapes[s] for s in node.inputs]
-        try:
-            shapes[node.name] = _node_shape(node, ins)
-        except ShapeError as e:
-            raise ShapeError(f"node {node.name!r}: {e}") from None
-    return shapes
-
-
-def _node_shape(node, ins):
-    if node.kind == "conv":
-        n, c, h, w = ins[0]
-        if c != node.cin:
-            raise ShapeError(f"expects {node.cin} input channels, got {c}")
-        ho = ops.conv_out_extent(h, node.kernel, node.stride, node.padding)
-        wo = ops.conv_out_extent(w, node.kernel, node.stride, node.padding)
-        if ho < 1 or wo < 1:
-            raise ShapeError(f"non-positive output extent from {h}x{w}")
-        return (n, node.cout, ho, wo)
-    if node.kind == "tconv":
-        n, c, h, w = ins[0]
-        if c != node.cin:
-            raise ShapeError(f"expects {node.cin} input channels, got {c}")
-        return (n, node.cout, 2 * h, 2 * w)
-    if node.kind == "maxpool":
-        n, c, h, w = ins[0]
-        if h % 2 or w % 2:
-            raise ShapeError(f"odd extents {h}x{w}")
-        return (n, c, h // 2, w // 2)
-    if node.kind == "concat":
-        a, b = ins
-        if a[0] != b[0] or a[2:] != b[2:]:
-            raise ShapeError(f"batch/spatial mismatch {a} vs {b}")
-        return (a[0], a[1] + b[1], a[2], a[3])
-    if node.kind == "add":
-        a, b = ins
-        if a != b:
-            raise ShapeError(f"operand shapes differ: {a} vs {b}")
-        return a
-    if node.kind in ("relu", "softmax"):
-        return ins[0]
-    if node.kind == "upsample_nearest":
-        n, c, h, w = ins[0]
-        return (n, c, 2 * h, 2 * w)
-    raise ShapeError(f"unknown node kind {node.kind!r}")
+    params = ParameterStore()
+    for name, shape in parameter_shapes(spec).items():
+        params.add(name, np.zeros(shape, dtype=np.float32))
+    x = np.zeros((0, c, h, w), dtype=np.float32)
+    _, tape = forward(spec, params, x, keep_intermediates=True)
+    return {name: (n,) + v.shape[1:] for name, v in tape.activations.items()}
 
 
 class ParameterStore:
@@ -284,12 +244,39 @@ class Tape:
     activations: dict
 
 
+def _run_node(node, params, ins):
+    if node.kind == "conv":
+        return ops.conv2d(ins[0], _conv_params(node, params))
+    if node.kind == "tconv":
+        return ops.transposed_conv2d(ins[0], _conv_params(node, params))
+    if node.kind == "maxpool":
+        return ops.maxpool2x2(ins[0])
+    if node.kind == "relu":
+        return ops.relu(ins[0])
+    if node.kind == "concat":
+        a, b = ins
+        if a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
+            raise ShapeError(f"batch/spatial mismatch {a.shape} vs {b.shape}")
+        return np.concatenate(ins, axis=1)
+    if node.kind == "add":
+        a, b = ins
+        if a.shape != b.shape:  # numpy would broadcast
+            raise ShapeError(f"operand shapes differ: {a.shape} vs {b.shape}")
+        return a + b
+    if node.kind == "upsample_nearest":
+        return ops.nearest_upsample2x(ins[0])
+    if node.kind == "softmax":
+        return ops.softmax_channels(ins[0])
+    raise ShapeError(f"unknown node kind {node.kind!r}")
+
+
 def forward(spec, params, x, keep_intermediates=False):
     """Run the graph; returns (probability map, tape).
 
     The tape is None unless keep_intermediates is set; without a tape, each
     activation is released after the last node that reads it. Activations
-    are scanned for non-finite values after every node and reported by name.
+    are scanned for non-finite values after every node and reported by name,
+    and a node's ShapeError or UnsupportedConfigError is prefixed with it.
     """
     if not isinstance(x, np.ndarray) or x.ndim != 4:
         raise ShapeError("forward input must be a rank-4 NCHW array")
@@ -298,27 +285,17 @@ def forward(spec, params, x, keep_intermediates=False):
         raise ShapeError(
             f"input H and W must be multiples of {m}, got {x.shape[2]}x{x.shape[3]}"
         )
-    infer_shapes(spec, x.shape)  # channel, concat and add agreement, per node
+    if x.shape[1] != spec.in_channels:
+        raise ShapeError(
+            f"input has {x.shape[1]} channels, {spec.arch_id} expects {spec.in_channels}"
+        )
     values = {spec.input_name: x}
     last_use = {s: i for i, node in enumerate(spec.nodes) for s in node.inputs}
     for i, node in enumerate(spec.nodes):
-        ins = [values[s] for s in node.inputs]
-        if node.kind == "conv":
-            out = ops.conv2d(ins[0], _conv_params(node, params))
-        elif node.kind == "tconv":
-            out = ops.transposed_conv2d(ins[0], _conv_params(node, params))
-        elif node.kind == "maxpool":
-            out = ops.maxpool2x2(ins[0])
-        elif node.kind == "relu":
-            out = ops.relu(ins[0])
-        elif node.kind == "concat":
-            out = np.concatenate(ins, axis=1)
-        elif node.kind == "add":
-            out = ins[0] + ins[1]
-        elif node.kind == "upsample_nearest":
-            out = ops.nearest_upsample2x(ins[0])
-        else:  # softmax; infer_shapes rejects every other kind
-            out = ops.softmax_channels(ins[0])
+        try:
+            out = _run_node(node, params, [values[s] for s in node.inputs])
+        except (ShapeError, UnsupportedConfigError) as e:
+            raise type(e)(f"node {node.name!r}: {e}") from None
         if not np.isfinite(out).all():
             raise NumericsError(f"non-finite activation in node {node.name!r}")
         values[node.name] = out

@@ -80,15 +80,10 @@ def _check_input(x, p, op, configs):
     return k
 
 
-def conv_out_extent(size, kernel, stride, pad):
-    return (size + 2 * pad - kernel) // stride + 1
-
-
 def _conv_geometry(x, p, op):
     """Checks a conv2d / conv2d_vjp call; returns (k, hout, wout)."""
     k = _check_input(x, p, op, _CONV_CONFIGS)
-    hout = conv_out_extent(x.shape[2], k, p.stride, p.padding)
-    wout = conv_out_extent(x.shape[3], k, p.stride, p.padding)
+    hout, wout = ((e + 2 * p.padding - k) // p.stride + 1 for e in x.shape[2:])
     if hout < 1 or wout < 1:
         raise ShapeError(f"{op}: non-positive output extent for input {x.shape}")
     return k, hout, wout
@@ -152,10 +147,10 @@ def conv2d(x, p):
     hq, wq, span, taps = _shifted_rows(h, w, k, s, pad)
     wmat = p.weight.reshape(p.cout, -1)
     bias = p.bias[:, None, None]
-    y = np.empty((p.cout, hq, wq), dtype=x.dtype)
     out = np.empty((n, p.cout, hout, wout), dtype=x.dtype)
     for i in range(n):
         cols = _patches(x[i], s, pad, hq, wq, span, taps)
+        y = np.empty((p.cout, hq, wq), dtype=x.dtype)  # per image: none at batch 0
         np.matmul(wmat, cols, out=y.reshape(p.cout, -1)[:, :span])
         np.add(y[:, :hout, :wout], bias, out=out[i])
     return out

@@ -6,8 +6,10 @@ channel, averaged over the batch. Determinism contract: a fixed (seed, data,
 config) triple yields a bit-identical final parameter store and log.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -25,22 +27,21 @@ _SHUFFLE_TAG = 0xA5A5A5A5A5A5A5A5
 class TrainConfig:
     batch_size: int = 8
     initial_lr: float = 1e-4
-    lr_decay: float = 0.9
-    lr_decay_steps: int = 2000
     epochs: int = 100  # desk runs default to 15 via the CLI
     seed: int = 0
-    smooth: float = 1.0  # soft-Dice smoothing epsilon
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
+    # fixed by the recipe; class constants, readable on an instance
+    lr_decay: ClassVar[float] = 0.9
+    lr_decay_steps: ClassVar[int] = 2000
+    smooth: ClassVar[float] = 1.0  # soft-Dice smoothing epsilon
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    adam_eps: ClassVar[float] = 1e-8
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise ShapeError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0.0 < self.lr_decay <= 1.0:
-            raise ShapeError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
-        if self.smooth <= 0.0:
-            raise ShapeError(f"smooth must be > 0, got {self.smooth}")
+        if not (math.isfinite(self.initial_lr) and self.initial_lr > 0.0):
+            raise ShapeError(f"initial_lr must be finite and > 0, got {self.initial_lr}")
         if self.epochs < 1:
             raise ShapeError(f"epochs must be >= 1, got {self.epochs}")
 

@@ -298,6 +298,13 @@ class TestAnalyze:
         _, params = model.load_checkpoint(ckpt, expected_spec=desk_spec)
         assert int(total[3]) == params.total_elements()
 
+    def test_huge_size_allocates_no_image(self, capsys):
+        # shapes come from a forward on an empty batch: at 65536 one image's
+        # conv buffer alone would be 60 GiB
+        assert cli.main(["analyze", "--size", "65536"]) == 0
+        total = capsys.readouterr().out.strip().split("\n")[-1].split()
+        assert total == ["TOTAL", "382552", "51144470560768"]
+
 
 class TestInfer:
     def test_output_bivalued_and_deterministic(self, ckpt, tmp_path, capsys):

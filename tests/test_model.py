@@ -81,6 +81,33 @@ class TestInferShapes:
         with pytest.raises(ShapeError):
             model.infer_shapes(desk_spec, (1, 3, 256, 256))
 
+    @pytest.mark.parametrize("h, w", [(32, 48), (64, 64)])
+    def test_equals_forward_tape_shapes(self, desk_spec, desk_params, h, w):
+        x = rand_f32((2, 1, h, w), seed=h * 100 + w)
+        _, tape = model.forward(desk_spec, desk_params, x, keep_intermediates=True)
+        expect = {name: v.shape for name, v in tape.activations.items()}
+        assert model.infer_shapes(desk_spec, (2, 1, h, w)) == expect
+
+    @pytest.mark.parametrize("extent", [0, -16])
+    def test_non_positive_extent_rejected(self, desk_spec, extent):
+        with pytest.raises(ShapeError):
+            model.infer_shapes(desk_spec, (1, 1, extent, extent))
+
+    def test_unknown_kind_names_node(self):
+        spec = model.ArchitectureSpec(
+            arch_id="unknown", input_name="x", output_name="mystery",
+            in_channels=1, num_classes=2, total_downsampling_factor=1,
+            nodes=(
+                model.LayerNode("c", "conv", ("x",), 1, 2, 1, 1, 0),
+                model.LayerNode("mystery", "gelu", ("c",)),
+            ),
+        )
+        with pytest.raises(ShapeError, match="'mystery'.*'gelu'"):
+            model.infer_shapes(spec, (1, 1, 4, 4))
+        params = model.init_params(spec, seed=0)
+        with pytest.raises(ShapeError, match="'mystery'.*'gelu'"):
+            model.forward(spec, params, rand_f32((1, 1, 4, 4), seed=74))
+
 
 class TestForward:
     def test_probability_field(self, desk_spec, desk_params):

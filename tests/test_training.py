@@ -93,6 +93,11 @@ class TestLrSchedule:
         with pytest.raises(ShapeError):
             training.lr_at(-1, training.TrainConfig())
 
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_initial_lr_rejected(self, lr):
+        with pytest.raises(ShapeError, match="initial_lr"):
+            training.TrainConfig(initial_lr=lr)
+
 
 def scalar_store(value, dtype=np.float64):
     store = ParameterStore()
