@@ -25,8 +25,6 @@ from . import analysis, bench, data, gradsuite, metrics, model, training
 from .errors import FormatError, NumericsError, ShapeError, UnsupportedConfigError
 from .tensor import write_rft1
 
-KNOWN_ARCHS = ("rfbsnet-desk",)
-
 
 class UsageError(Exception):
     pass
@@ -52,7 +50,7 @@ def _checked(convert, ok, rule):
     def typ(raw):
         value = convert(raw)
         if not ok(value):
-            raise UsageError(f"must be {rule}, got {value}")
+            raise UsageError(f"must be {rule}, got {value!r}")
         return value
 
     return typ
@@ -62,12 +60,26 @@ _positive_int = _checked(int, lambda v: v >= 1, ">= 1")
 _positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
 
 
-# name -> (type, default, help); default None marks a required value.
+def _choice(*names):
+    return _checked(str, lambda v: v in names, f"one of {', '.join(names)}")
+
+
+def _net_size(raw):
+    """An input H = W: a positive multiple of the network's downsampling, looked
+    up per conversion so that importing the CLI builds no network."""
+    m = model.build_rfbsnet_desk().total_downsampling_factor
+    typ = _checked(int, lambda v: v > 0 and v % m == 0, f"a positive multiple of {m}")
+    return typ(raw)
+
+
+# name -> (type, default, help); the type converts the raw string and enforces
+# every rule on the value; default None marks a required value.
 _COMMANDS = {
     "generate": {
         "out": (str, None, "output dataset directory"),
-        "count": (int, 250, "number of phantoms"),
-        "size": (int, 256, "image size (even, >= 64)"),
+        "count": (_checked(int, lambda v: v >= 2, ">= 2"), 250, "number of phantoms"),
+        "size": (_checked(int, lambda v: v >= 64 and v % 2 == 0, "even and >= 64"), 256,
+                 "image size (even, >= 64)"),
         "seed": (int, 0, "generation/split seed"),
         "train-fraction": (_checked(float, lambda v: 0 < v < 1, "in (0, 1)"), 0.8,
                            "train split fraction"),
@@ -84,7 +96,8 @@ _COMMANDS = {
     "eval": {
         "data": (str, None, "dataset directory"),
         "ckpt": (str, None, "checkpoint path"),
-        "split": (str, "val", "split to evaluate: train|val|all"),
+        "split": (_choice("train", "val", "all"), "val",
+                  "split to evaluate: train|val|all"),
         "tsv": (str, "", "also write the records to this file"),
         "threads": (_positive_int, 1, "worker count (default: RFBS_THREADS, else 1)"),
     },
@@ -93,12 +106,12 @@ _COMMANDS = {
         "iters": (_positive_int, 100, "timed iterations"),
         "warmup": (_checked(int, lambda v: v >= 0, ">= 0"), 10,
                    "untimed warmup iterations"),
-        "size": (int, 256, "input H = W"),
+        "size": (_net_size, 256, "input H = W"),
         "tsv": (str, "", "also write per-iteration rows to this file"),
     },
     "analyze": {
-        "arch": (str, "rfbsnet-desk", "architecture id"),
-        "size": (int, 256, "input H = W"),
+        "arch": (_choice("rfbsnet-desk"), "rfbsnet-desk", "architecture id"),
+        "size": (_net_size, 256, "input H = W"),
         "tsv": (str, "", "also write the rows to this file"),
     },
     "infer": {
@@ -108,7 +121,7 @@ _COMMANDS = {
         "prob-out": (str, "", "optional RFT1 probability map output"),
     },
     "gradcheck": {
-        "scale": (str, "small", "coordinate sampling: small|full"),
+        "scale": (_choice("small", "full"), "small", "coordinate sampling: small|full"),
         "tol": (_positive_float, 1e-5, "whole-network tolerance"),
         "self-test-corrupt": (_parse_bool, False, "inject a broken gradient "
                               "(negative control; must fail)"),
@@ -196,22 +209,12 @@ def _load_model(ckpt_path):
     return spec, params
 
 
-def _check_size(size, spec):
-    m = spec.total_downsampling_factor
-    if size < m or size % m:
-        raise UsageError(f"--size must be a positive multiple of {m}, got {size}")
-
-
 def _write(path, text):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
 def cmd_generate(cfg):
-    if cfg["size"] % 2 or cfg["size"] < 64:
-        raise UsageError(f"--size must be even and >= 64, got {cfg['size']}")
-    if cfg["count"] < 2:
-        raise UsageError("--count must be >= 2 so both splits are populated")
     dataset = data.generate_phantoms(cfg["count"], cfg["size"], cfg["seed"])
     dataset = data.split(dataset, cfg["train-fraction"], cfg["seed"])
     data.save_dataset(cfg["out"], dataset)
@@ -251,8 +254,6 @@ def _eval_one(spec, params, sample):
 
 
 def cmd_eval(cfg):
-    if cfg["split"] not in ("train", "val", "all"):
-        raise UsageError(f"--split must be train, val, or all, got {cfg['split']!r}")
     dataset = data.load_dataset(cfg["data"])
     part = dataset.part(cfg["split"])
     if not part:
@@ -273,7 +274,6 @@ def cmd_eval(cfg):
 
 def cmd_bench(cfg):
     spec, params = _load_model(cfg["ckpt"])
-    _check_size(cfg["size"], spec)
     report = bench.bench_forward(
         spec, params, (1, spec.in_channels, cfg["size"], cfg["size"]),
         iters=cfg["iters"], warmup=cfg["warmup"],
@@ -285,12 +285,7 @@ def cmd_bench(cfg):
 
 
 def cmd_analyze(cfg):
-    if cfg["arch"] not in KNOWN_ARCHS:
-        raise UsageError(
-            f"unknown architecture {cfg['arch']!r}; known: {', '.join(KNOWN_ARCHS)}"
-        )
     spec = model.build_rfbsnet_desk()
-    _check_size(cfg["size"], spec)
     report = analysis.count_flops(spec, (1, spec.in_channels, cfg["size"], cfg["size"]))
     print(analysis.format_table(report), end="")
     if cfg["tsv"]:
@@ -311,8 +306,6 @@ def cmd_infer(cfg):
 
 
 def cmd_gradcheck(cfg):
-    if cfg["scale"] not in ("small", "full"):
-        raise UsageError(f"--scale must be small or full, got {cfg['scale']!r}")
     reports = gradsuite.run_suite(
         scale=cfg["scale"], net_tol=cfg["tol"], corrupt=cfg["self-test-corrupt"]
     )

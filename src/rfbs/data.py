@@ -206,14 +206,15 @@ def generate_phantoms(n, size=256, seed=0):
 
 
 def split(dataset, train_fraction=0.8, seed=0):
-    """Assign train/val by seeded shuffle + prefix split; returns a new Dataset."""
+    """Seeded shuffle + prefix split into non-empty train/val; returns a new Dataset."""
     n = len(dataset)
-    if n < 2:
-        raise ShapeError(f"need at least 2 samples to split, got {n}")
     if not 0.0 < train_fraction < 1.0:
         raise ShapeError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    order = Prng(seed).shuffle(list(range(n)))
     n_train = int(round(train_fraction * n))
+    if not 0 < n_train < n:
+        raise ShapeError(f"train_fraction {train_fraction} of {n} samples gives "
+                         f"{n_train} train and {n - n_train} val; both must be >= 1")
+    order = Prng(seed).shuffle(list(range(n)))
     assignment = ["val"] * n
     for idx in order[:n_train]:
         assignment[idx] = "train"
@@ -229,6 +230,10 @@ def batches(samples, batch_size, epoch_seed):
     order = Prng(epoch_seed).shuffle(list(range(len(samples))))
     for lo in range(0, len(order), batch_size):
         chunk = [samples[i] for i in order[lo : lo + batch_size]]
+        for s in chunk[1:]:
+            if s.image.shape != chunk[0].image.shape:
+                (_, h0, w0), (_, h, w) = chunk[0].image.shape, s.image.shape
+                raise ShapeError(f"a batch mixes image sizes {h0}x{w0} and {h}x{w}")
         images = np.stack([s.image for s in chunk], axis=0)
         masks = np.stack([s.mask for s in chunk], axis=0)
         yield images, masks

@@ -53,7 +53,8 @@ def test_non_utf8_manifest_exit_2(ckpt, tmp_path, capsys, command):
 
 
 _REQUIRED = {"bench": ["--ckpt", "none.ckpt"], "generate": ["--out", "none"],
-             "train": ["--data", "none", "--out", "m.ckpt"], "gradcheck": []}
+             "train": ["--data", "none", "--out", "m.ckpt"], "gradcheck": [],
+             "eval": ["--data", "none", "--ckpt", "none.ckpt"], "analyze": []}
 
 
 @pytest.mark.parametrize("command,key,value", [
@@ -63,6 +64,9 @@ _REQUIRED = {"bench": ["--ckpt", "none.ckpt"], "generate": ["--out", "none"],
     ("generate", "train-fraction", "1.5"), ("generate", "train-fraction", "0"),
     ("generate", "train-fraction", "1"),
     ("gradcheck", "tol", "-1"), ("gradcheck", "tol", "inf"),
+    ("generate", "size", "65"), ("generate", "count", "1"), ("eval", "split", "bogus"),
+    ("bench", "size", "17"), ("analyze", "size", "17"), ("analyze", "arch", "resnet"),
+    ("gradcheck", "scale", "huge"),
 ])
 def test_out_of_range_value_usage_error(tmp_path, monkeypatch, capsys, command, key,
                                         value):
@@ -91,6 +95,16 @@ class TestGenerate:
     def test_odd_size_usage_error(self, tmp_path):
         assert cli.main(["generate", "--out", str(tmp_path / "x"),
                          "--count", "4", "--size", "65"]) == 1
+
+    @pytest.mark.parametrize("extra", [[], ["--train-fraction", "0.1"]])
+    def test_empty_split_exit_2_writes_nothing(self, tmp_path, monkeypatch, capsys,
+                                               extra):
+        # 2 samples at 0.8 round to 2 train and 0 val; at 0.1, to 0 train
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["generate", "--out", "d", "--count", "2", "--size", "64",
+                         *extra]) == 2
+        assert "both must be >= 1" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_same_seed_same_digest(self, tmp_path):
         for sub in ("a", "b"):
@@ -159,6 +173,20 @@ class TestTrain:
     def test_missing_dir_is_data_error(self, tmp_path):
         assert cli.main(["train", "--data", str(tmp_path / "nope"),
                          "--out", str(tmp_path / "m.ckpt"), "--epochs", "1"]) == 2
+
+    def test_mixed_image_sizes_in_a_batch_exit_2(self, tmp_path, capsys):
+        small = data.generate_phantoms(3, 64, seed=1).samples
+        large = data.generate_phantoms(3, 96, seed=2).samples
+        for s in large:
+            s.id = "q" + s.id[1:]
+        data.save_dataset(tmp_path / "d", data.Dataset(
+            samples=small + large, splits=["train", "train", "val"] * 2))
+        out = tmp_path / "m.ckpt"
+        assert cli.main(["train", "--data", str(tmp_path / "d"), "--out", str(out),
+                         "--epochs", "1", "--batch", "8"]) == 2
+        err = capsys.readouterr().err
+        assert "64x64" in err and "96x96" in err
+        assert not out.exists()
 
     def test_writes_checkpoint_and_log(self, dataset_dir, tmp_path, desk_spec):
         out = tmp_path / "m.ckpt"

@@ -165,6 +165,12 @@ class TestSplit:
         with pytest.raises(ShapeError):
             data.split(data.generate_phantoms(1, 64, seed=0), 0.8, seed=0)
 
+    @pytest.mark.parametrize("n,fraction", [(2, 0.8), (2, 0.1), (10, 0.04), (10, 0.96)])
+    def test_empty_part_refused(self, n, fraction):
+        # the rounded train count is 0 or n: one part would be empty
+        with pytest.raises(ShapeError, match="both must be >= 1"):
+            data.split(data.generate_phantoms(n, 64, seed=0), fraction, seed=0)
+
 
 class TestBatches:
     def _ds(self, n):
@@ -199,6 +205,15 @@ class TestBatches:
         for img, _ in data.batches(samples, 3, epoch_seed=9):
             seen.extend(img[i].tobytes() for i in range(img.shape[0]))
         assert sorted(seen) == sorted(s.image.tobytes() for s in samples)
+
+    def test_mixed_sizes_in_a_batch_refused(self):
+        samples = self._ds(2) + data.generate_phantoms(2, 96, seed=3).samples
+        with pytest.raises(ShapeError, match="mixes image sizes") as info:
+            list(data.batches(samples, 4, epoch_seed=0))
+        assert "64x64" in str(info.value) and "96x96" in str(info.value)
+        # one image per batch never mixes sizes
+        sizes = {img.shape for img, _ in data.batches(samples, 1, epoch_seed=0)}
+        assert sizes == {(1, 1, 64, 64), (1, 1, 96, 96)}
 
 
 class TestDatasetIo:
