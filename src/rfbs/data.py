@@ -126,10 +126,9 @@ def read_pgm(path):
     tokens, pos = _pgm_tokens(buf, 4)
     if tokens[0] != b"P5":
         raise FormatError(f"PGM: unsupported magic {tokens[0]!r} (only binary P5)")
-    try:
-        width, height, maxval = (int(t) for t in tokens[1:])
-    except ValueError:
-        raise FormatError("PGM: non-numeric header field") from None
+    if not all(t.isdigit() for t in tokens[1:]):  # int() also takes b"+6_4"
+        raise FormatError(f"PGM: header fields {tokens[1:]} are not all decimal digits")
+    width, height, maxval = (int(t) for t in tokens[1:])
     if maxval != 255:
         raise FormatError(f"PGM: unsupported maxval {maxval} (only 255)")
     if width < 1 or height < 1:
@@ -260,6 +259,7 @@ def load_dataset(directory):
         raise FormatError(f"no manifest.tsv in {directory}")
     samples = []
     splits = []
+    seen = {}  # sample id -> manifest line
     try:
         with open(manifest, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -273,6 +273,10 @@ def load_dataset(directory):
         if len(fields) != 2 or fields[1] not in ("train", "val"):
             raise FormatError(f"manifest.tsv line {lineno}: bad record {line!r}")
         sid, part = fields
+        if sid in seen:
+            raise FormatError(f"manifest.tsv line {lineno}: sample {sid!r} is "
+                              f"already listed on line {seen[sid]}")
+        seen[sid] = lineno
         paths = [os.path.join(directory, f"{kind}_{sid}.pgm") for kind in ("img", "mask")]
         if not all(os.path.isfile(p) for p in paths):  # False on a NUL in sid too
             raise FormatError(f"manifest.tsv line {lineno}: no img/mask PGM pair "

@@ -87,15 +87,18 @@ _CONV2D_CHECKS = [
     ("conv2d k3 s2 p0", (2, 2, 7, 5), 2, 3, 2, 0, 21),
     ("conv2d k2 s2 p0", (1, 2, 5, 7), 3, 2, 2, 0, 22),
 ]
+# the same fields for transposed_conv2d; the batch of two sums dweight per image
+_TCONV_CHECKS = [
+    ("transposed_conv2d k2 s2", (1, 3, 4, 4), 2, 2, 2, 0, 15),
+    ("transposed_conv2d k2 s2 batch 2", (2, 3, 3, 5), 2, 2, 2, 0, 23),
+]
 
 
 def op_checks():
     """Run every op-level check; returns the list of GradCheckReports."""
     reports = [_conv_check(ops.conv2d, ops.conv2d_vjp, *c) for c in _CONV2D_CHECKS]
-    reports.append(_conv_check(
-        ops.transposed_conv2d, ops.transposed_conv2d_vjp,
-        "transposed_conv2d k2 s2", (1, 3, 4, 4), 2, 2, 2, 0, 15,
-    ))
+    reports += [_conv_check(ops.transposed_conv2d, ops.transposed_conv2d_vjp, *c)
+                for c in _TCONV_CHECKS]
     unary = [
         # continuous draws: tie probability ~0
         ("maxpool2x2", ops.maxpool2x2, ops.maxpool2x2_vjp,

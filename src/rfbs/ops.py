@@ -5,14 +5,16 @@ Conventions: tensors are NCHW, convolution is cross-correlation (no kernel
 flip), kernels are square, and one int stride and one int padding apply to
 both spatial axes, so Hout = floor((H + 2*pad - K)/stride) + 1. Only the
 configurations the network needs are supported: conv k3 s{1,2} p{0,1},
-conv k1 s1 p0, max-pool 2x2 s2, transposed conv k2 s2. conv2d and its VJP
-run one image at a time and share one GEMM layout, a shifted-row patch
+conv k1 s1 p0, conv k2 s2 p0 (the transposed conv's adjoint), max-pool 2x2
+s2, transposed conv k2 s2. All four conv ops (conv2d, transposed_conv2d and
+their VJPs) run one image at a time in one GEMM layout, a shifted-row patch
 matrix: K*K contiguous column slices of the zero-padded, channel-major image
-split into its stride phases (see _shifted_rows). The VJP sums the weight
-gradient over the images in index order. Every forward is deterministic
-(bit-identical for identical inputs), ReLU's gradient at exactly 0 is 0,
-and the max-pool VJP recomputes each window's winner from its input,
-breaking ties to the first element in row-major window order.
+split into its stride phases (see _shifted_rows); at k2 s2 each tap is one
+whole phase. The VJPs sum the weight gradient over the images in index
+order. Every forward is deterministic (bit-identical for identical inputs),
+ReLU's gradient at exactly 0 is 0, and the max-pool VJP recomputes each
+window's winner from its input, breaking ties to the first element in
+row-major window order.
 """
 
 from dataclasses import dataclass, field
@@ -228,42 +230,39 @@ def maxpool2x2_vjp(x, upstream):
 
 def transposed_conv2d(x, p):
     """Learnable 2x upsampling: each input pixel scatters weight*x into a 2x2
-    block (non-overlapping because k = s = 2), then bias is added."""
+    block (non-overlapping because k = s = 2), then bias is added. One GEMM
+    per image; its rows (cout, a, b) hold the output's stride phases."""
     _check_input(x, p, "transposed_conv2d", _TCONV_CONFIGS)
-    n, _, h, w = x.shape
-    x2 = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(n * h * w, p.cin)
-    w2 = np.ascontiguousarray(p.weight.transpose(1, 0, 2, 3)).reshape(p.cin, -1)
-    o2 = x2 @ w2  # (n*h*w, cout*4)
-    out = np.ascontiguousarray(
-        o2.reshape(n, h, w, p.cout, 2, 2).transpose(0, 3, 1, 4, 2, 5)
-    ).reshape(n, p.cout, 2 * h, 2 * w)
-    out += p.bias[None, :, None, None]
+    n, cin, h, w = x.shape
+    wmat = p.weight.transpose(1, 0, 2, 3).reshape(cin, -1)
+    bias = p.bias[:, None, None]
+    out = np.empty((n, p.cout, 2 * h, 2 * w), dtype=x.dtype)
+    for i in range(n):
+        y = (wmat.T @ x[i].reshape(cin, -1)).reshape(p.cout, 4, h, w)
+        for t in range(4):  # tap (a, b) = divmod(t, 2)
+            np.add(y[:, t], bias, out=out[i, :, t // 2::2, t % 2::2])
     return out
 
 
 def transposed_conv2d_vjp(x, p, upstream):
-    """Gradients of sum(upstream * transposed_conv2d(x, p))."""
+    """Gradients of sum(upstream * transposed_conv2d(x, p)): conv2d k2 s2 p0
+    of upstream, per image; dweight sums the images in index order."""
     _check_input(x, p, "transposed_conv2d_vjp", _TCONV_CONFIGS)
-    n, _, h, w = x.shape
+    n, cin, h, w = x.shape
     expect = (n, p.cout, 2 * h, 2 * w)
     if upstream.shape != expect or upstream.dtype != x.dtype:
-        raise ShapeError(
-            f"transposed_conv2d_vjp: upstream must be {expect} {x.dtype}, got "
-            f"{upstream.shape} {upstream.dtype}"
-        )
-    dbias = upstream.sum(axis=(0, 2, 3))
-    up2 = np.ascontiguousarray(
-        upstream.reshape(n, p.cout, h, 2, w, 2).transpose(0, 2, 4, 1, 3, 5)
-    ).reshape(n * h * w, p.cout * 4)
-    w2 = np.ascontiguousarray(p.weight.transpose(1, 0, 2, 3)).reshape(p.cin, -1)
-    dx = np.ascontiguousarray(
-        (up2 @ w2.T).reshape(n, h, w, p.cin).transpose(0, 3, 1, 2)
-    )
-    x2 = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(n * h * w, p.cin)
-    dweight = np.ascontiguousarray(
-        (x2.T @ up2).reshape(p.cin, p.cout, 2, 2).transpose(1, 0, 2, 3)
-    )
-    return dx, dweight, dbias
+        raise ShapeError(f"transposed_conv2d_vjp: upstream must be {expect} "
+                         f"{x.dtype}, got {upstream.shape} {upstream.dtype}")
+    rows = _shifted_rows(2 * h, 2 * w, 2, 2, 0)  # each tap is one whole phase
+    wmat = p.weight.transpose(1, 0, 2, 3).reshape(cin, -1)
+    dweight = np.zeros(wmat.shape, dtype=x.dtype)
+    dx = np.empty(x.shape, dtype=x.dtype)
+    for i in range(n):
+        cols = _patches(upstream[i], 2, 0, *rows)
+        np.matmul(wmat, cols, out=dx[i].reshape(cin, -1))
+        dweight += x[i].reshape(cin, -1) @ cols.T
+    dweight = dweight.reshape(cin, p.cout, 2, 2).transpose(1, 0, 2, 3)
+    return dx, dweight, upstream.sum(axis=(0, 2, 3))
 
 
 def nearest_upsample2x(x):

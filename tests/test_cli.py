@@ -245,6 +245,17 @@ class TestEval:
         agg = [l for l in out.strip().split("\n") if l.startswith("AGGREGATE")][0]
         assert agg.split("\t")[1] == "1.000000"
 
+    def test_repeated_manifest_id_exit_2(self, dataset_dir, ckpt, tmp_path, capsys):
+        ds_dir = tmp_path / "d"
+        data.save_dataset(ds_dir, data.load_dataset(dataset_dir))
+        first = (ds_dir / "manifest.tsv").read_text().split("\t")[0]
+        with open(ds_dir / "manifest.tsv", "a", encoding="utf-8") as fh:
+            fh.write(f"{first}\tval\n")
+        assert cli.main(["eval", "--data", str(ds_dir), "--ckpt", ckpt,
+                         "--split", "all"]) == 2
+        err = capsys.readouterr().err
+        assert f"line 11: sample {first!r} is already listed on line 1" in err
+
     def test_corrupt_checkpoint_exit_2(self, dataset_dir, tmp_path, ckpt):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(open(ckpt, "rb").read()[:50])
@@ -361,6 +372,15 @@ class TestInfer:
         img.write_bytes(b"P5\n32 32\n255\n" + bytes(10))
         assert cli.main(["infer", "--ckpt", ckpt, "--in", str(img),
                          "--out", str(tmp_path / "o.pgm")]) == 2
+
+    @pytest.mark.parametrize("field", [b"6_4", b"+64", b"-1"])
+    def test_non_decimal_pgm_header_exit_2(self, ckpt, tmp_path, capsys, field):
+        img = tmp_path / "in.pgm"
+        img.write_bytes(b"P5\n%s 64\n255\n" % field + bytes(64 * 64))
+        assert cli.main(["infer", "--ckpt", ckpt, "--in", str(img),
+                         "--out", str(tmp_path / "o.pgm")]) == 2
+        assert "decimal" in capsys.readouterr().err
+        assert not (tmp_path / "o.pgm").exists()
 
     def test_non_utf8_checkpoint_name_exit_2(self, ckpt, tmp_path, capsys):
         bad = tmp_path / "name.ckpt"

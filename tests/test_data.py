@@ -88,6 +88,17 @@ class TestPgm:
         with pytest.raises(FormatError):
             data.read_pgm(path)
 
+    @pytest.mark.parametrize("field", [b"6_4", b"+64", b"-1", b"x"])
+    @pytest.mark.parametrize("where", ["width", "height", "maxval"])
+    def test_non_decimal_header_field(self, tmp_path, field, where):
+        # int() reads b"6_4" as 64 and b"+64" as 64; the header takes digits only
+        header = {"width": b"%s 64\n255" % field, "height": b"64 %s\n255" % field,
+                  "maxval": b"64 64\n%s" % field}[where]
+        path = tmp_path / "f.pgm"
+        path.write_bytes(b"P5\n" + header + b"\n" + bytes(64 * 64))
+        with pytest.raises(FormatError, match="decimal"):
+            data.read_pgm(path)
+
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "short.pgm"
         path.write_bytes(b"P5\n2 2\n255\n" + bytes([1, 2]))
@@ -248,6 +259,17 @@ class TestDatasetIo:
         data.save_dataset(tmp_path, data.generate_phantoms(2, 64, seed=3))
         (tmp_path / "manifest.tsv").write_text(f"p0000\ttrain\n{sid}\tval\n")
         with pytest.raises(FormatError, match="line 2"):
+            data.load_dataset(tmp_path)
+
+    def test_repeated_id_refused(self, tmp_path):
+        # one sample listed as train and again as val would be trained on and
+        # validated on, and counted twice by eval
+        data.save_dataset(tmp_path, data.split(data.generate_phantoms(6, 64, seed=3),
+                                               0.5, 3))
+        with open(tmp_path / "manifest.tsv", "a", encoding="utf-8") as fh:
+            fh.write("p0000\tval\n")
+        with pytest.raises(FormatError, match="line 7: sample 'p0000' is already "
+                                              "listed on line 1"):
             data.load_dataset(tmp_path)
 
 

@@ -296,6 +296,48 @@ class TestTransposedConv:
         denom = np.maximum(np.abs(dx), 1e-30)
         assert (np.abs(dx - y) / denom).max() <= 1e-12
 
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3]), st.integers(1, 4),
+           st.integers(1, 4), st.integers(1, 6), st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_brute_force(self, seed, n, cin, cout, h, w):
+        x = rand_f64((n, cin, h, w), seed=seed)
+        p = conv_params(rand_f64((cout, cin, 2, 2), seed=seed ^ 1),
+                        rand_f64((cout,), seed=seed ^ 2), stride=2)
+        u = rand_f64((n, cout, 2 * h, 2 * w), seed=seed ^ 3)
+        want = np.empty_like(u)  # each input pixel scatters into its 2x2 block
+        for ni, co, i, j, a, b in np.ndindex(n, cout, h, w, 2, 2):
+            want[ni, co, 2 * i + a, 2 * j + b] = (
+                x[ni, :, i, j] @ p.weight[co, :, a, b] + p.bias[co])
+        y = ops.transposed_conv2d(x, p)
+        assert np.allclose(y, want, rtol=1e-12, atol=1e-12)
+        dx, dweight, dbias = ops.transposed_conv2d_vjp(x, p, u)
+        # adjoint identity of the linear part: <tconv(x) - b, u> = <x, dx>
+        lhs = np.sum((y - p.bias[:, None, None]) * u)
+        assert abs(lhs - np.sum(x * dx)) <= 1e-12 * max(1.0, np.sum(np.abs(x * dx)))
+        want_dw = np.zeros_like(p.weight)
+        for co, ci, a, b in np.ndindex(want_dw.shape):
+            want_dw[co, ci, a, b] = np.sum(x[:, ci] * u[:, co, a::2, b::2])
+        assert np.allclose(dweight, want_dw, rtol=1e-12, atol=1e-12)
+        assert np.allclose(dbias, [u[:, co].sum() for co in range(cout)],
+                           rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batch_equals_separate_images(self, dtype):
+        # each image runs alone, and dweight sums the images in index order
+        x = rand_f64((3, 6, 5, 7), seed=54).astype(dtype)
+        p = conv_params(rand_f64((4, 6, 2, 2), seed=55).astype(dtype),
+                        rand_f64((4,), seed=56).astype(dtype), stride=2)
+        y = ops.transposed_conv2d(x, p)
+        u = rand_f64(y.shape, seed=57).astype(dtype)
+        dx, dweight, _ = ops.transposed_conv2d_vjp(x, p, u)
+        summed = np.zeros_like(dweight)
+        for i in range(x.shape[0]):
+            assert ops.transposed_conv2d(x[i:i + 1], p)[0].tobytes() == y[i].tobytes()
+            dxi, dwi, _ = ops.transposed_conv2d_vjp(x[i:i + 1], p, u[i:i + 1])
+            assert dxi[0].tobytes() == dx[i].tobytes()
+            summed += dwi
+        assert summed.tobytes() == dweight.tobytes()
+
 
 class TestUpsample:
     def test_single_pixel(self):
