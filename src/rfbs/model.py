@@ -163,7 +163,7 @@ def infer_shapes(spec, input_shape):
         params.add(name, np.zeros(shape, dtype=np.float32))
     x = np.zeros((0, c, h, w), dtype=np.float32)
     _, tape = forward(spec, params, x, keep_intermediates=True)
-    return {name: (n,) + v.shape[1:] for name, v in tape.activations.items()}
+    return {name: (n,) + shape[1:] for name, shape in tape.shapes.items()}
 
 
 class ParameterStore:
@@ -237,11 +237,14 @@ def _conv_params(node, params):
 
 @dataclass
 class Tape:
-    """Per-node activations retained by forward."""
+    """What backward needs from one forward: the activations its VJPs read
+    (see _VJP_READS) plus the output, and the shape of the input and of
+    every node. forward released every other activation as it went."""
 
     spec: ArchitectureSpec
     params: ParameterStore
     activations: dict
+    shapes: dict
 
 
 def _run_node(node, params, ins):
@@ -270,13 +273,23 @@ def _run_node(node, params, ins):
     raise ShapeError(f"unknown node kind {node.kind!r}")
 
 
+# Kinds whose output is scanned for non-finite values: conv, tconv and add
+# can overflow on finite inputs, and softmax makes the output. relu,
+# maxpool, concat and upsample_nearest only select or copy values, so
+# forward scans the input once and after that only these kinds' outputs.
+_SCANNED_KINDS = {"conv", "tconv", "add", "softmax"}
+
+
 def forward(spec, params, x, keep_intermediates=False):
     """Run the graph; returns (probability map, tape).
 
-    The tape is None unless keep_intermediates is set; without a tape, each
-    activation is released after the last node that reads it. Activations
-    are scanned for non-finite values after every node and reported by name,
-    and a node's ShapeError or UnsupportedConfigError is prefixed with it.
+    Each activation is released after the last node that reads it unless
+    it is the output or, with keep_intermediates, backward reads it: the
+    tape then holds exactly those and every node's shape. Without
+    keep_intermediates the tape is None. A non-finite value is reported by
+    the name of the node it first shows in (the first node, for a
+    non-finite input), and a node's ShapeError or UnsupportedConfigError is
+    prefixed with the node's name.
     """
     if not isinstance(x, np.ndarray) or x.ndim != 4:
         raise ShapeError("forward input must be a rank-4 NCHW array")
@@ -289,24 +302,50 @@ def forward(spec, params, x, keep_intermediates=False):
         raise ShapeError(
             f"input has {x.shape[1]} channels, {spec.arch_id} expects {spec.in_channels}"
         )
+    if not np.isfinite(x).all():
+        raise NumericsError(
+            f"non-finite input {spec.input_name!r} to node {spec.nodes[0].name!r}"
+        )
+    keep = {spec.output_name}
+    if keep_intermediates:
+        keep |= {_vjp_read(node) for node in spec.nodes} - {None}
     values = {spec.input_name: x}
+    shapes = {spec.input_name: x.shape}
     last_use = {s: i for i, node in enumerate(spec.nodes) for s in node.inputs}
     for i, node in enumerate(spec.nodes):
         try:
             out = _run_node(node, params, [values[s] for s in node.inputs])
         except (ShapeError, UnsupportedConfigError) as e:
             raise type(e)(f"node {node.name!r}: {e}") from None
-        if not np.isfinite(out).all():
+        if node.kind in _SCANNED_KINDS and not np.isfinite(out).all():
             raise NumericsError(f"non-finite activation in node {node.name!r}")
         values[node.name] = out
-        if not keep_intermediates:  # drop what no later node reads
-            for s in node.inputs:
-                if last_use[s] == i:
-                    values.pop(s, None)
+        shapes[node.name] = out.shape
+        for s in node.inputs:  # drop what no later node reads, unless kept
+            if last_use[s] == i and s not in keep:
+                values.pop(s, None)
     y = values[spec.output_name]
     if keep_intermediates:
-        return y, Tape(spec, params, values)
+        return y, Tape(spec, params, values, shapes)
     return y, None
+
+
+# The one activation each kind's VJP reads: its first input or its own
+# output. relu_vjp's mask x > 0 is the same for relu's input and output, so
+# relu reads its output, mostly a conv's input and kept anyway, and no conv
+# output is kept. concat, add and upsample_nearest read no values; concat
+# splits the upstream at its first operand's channel count, from
+# Tape.shapes. forward keeps exactly these activations on the tape.
+_VJP_READS = {"conv": "input", "tconv": "input", "maxpool": "input",
+              "relu": "output", "softmax": "output"}
+
+
+def _vjp_read(node):
+    """Name of the activation node's VJP reads, or None if it reads none."""
+    reads = _VJP_READS.get(node.kind)
+    if reads is None:
+        return None
+    return node.name if reads == "output" else node.inputs[0]
 
 
 def backward(tape, loss_grad):
@@ -318,10 +357,10 @@ def backward(tape, loss_grad):
     if tape is None:
         raise ShapeError("backward needs a tape from forward(keep_intermediates=True)")
     spec, params, values = tape.spec, tape.params, tape.activations
-    out = values[spec.output_name]
-    if loss_grad.shape != out.shape:
+    out_shape = tape.shapes[spec.output_name]
+    if loss_grad.shape != out_shape:
         raise ShapeError(
-            f"loss_grad shape {loss_grad.shape} != output shape {out.shape}"
+            f"loss_grad shape {loss_grad.shape} != output shape {out_shape}"
         )
     upstream = {spec.output_name: loss_grad}
     param_grads = {}
@@ -329,7 +368,7 @@ def backward(tape, loss_grad):
         up = upstream.pop(node.name, None)
         if up is None:
             continue
-        x = values[node.inputs[0]]
+        x = values.get(_vjp_read(node))  # None for the kinds that read no values
         if node.kind in ("conv", "tconv"):
             vjp = ops.conv2d_vjp if node.kind == "conv" else ops.transposed_conv2d_vjp
             dx, dw, db = vjp(x, _conv_params(node, params), up)
@@ -341,14 +380,14 @@ def backward(tape, loss_grad):
         elif node.kind == "relu":
             dins = (ops.relu_vjp(x, up),)
         elif node.kind == "concat":
-            ca = x.shape[1]
+            ca = tape.shapes[node.inputs[0]][1]
             dins = (np.ascontiguousarray(up[:, :ca]), np.ascontiguousarray(up[:, ca:]))
         elif node.kind == "add":
             dins = (up, up)
         elif node.kind == "upsample_nearest":
             dins = (ops.nearest_upsample2x_vjp(up),)
         else:  # softmax
-            dins = (ops.softmax_channels_vjp(values[node.name], up),)
+            dins = (ops.softmax_channels_vjp(x, up),)
         for target, grad in zip(node.inputs, dins):
             upstream[target] = upstream[target] + grad if target in upstream else grad
     grads = {}

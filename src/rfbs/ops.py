@@ -178,13 +178,13 @@ def conv2d_vjp(x, p, upstream):
         up = _channel_major(upstream[i], 0, hq, wq).reshape(p.cout, -1)[:, :span]
         dweight += up @ cols.T
         del cols
+        if k == 1:  # s1 p0: the GEMM's output is dx[i] itself
+            np.matmul(wmat.T, up, out=dx[i].reshape(cin, -1))
+            continue
         dcols = (wmat.T @ up).reshape(cin, k * k, span)
-        if k == 1:
-            dph = dcols.reshape(1, cin, span)
-        else:
-            dph = np.zeros((s * s, cin, hq * wq), dtype=x.dtype)
-            for t, (j, off) in enumerate(taps):
-                dph[j, :, off:off + span] += dcols[:, t]
+        dph = np.zeros((s * s, cin, hq * wq), dtype=x.dtype)
+        for t, (j, off) in enumerate(taps):
+            dph[j, :, off:off + span] += dcols[:, t]
         dxp = dph.reshape(s, s, cin, hq, wq).transpose(2, 3, 0, 4, 1)
         dxp = dxp.reshape(cin, s * hq, s * wq)
         dx[i] = dxp[:, pad:pad + h, pad:pad + w]
@@ -283,7 +283,9 @@ def relu(x):
 
 
 def relu_vjp(x, upstream):
-    """Mask upstream where x <= 0 (gradient at exactly 0 is defined as 0)."""
+    """Mask upstream where x <= 0 (gradient at exactly 0 is defined as 0).
+    x may be relu's input or its output: x > 0 exactly where relu(x) > 0,
+    for every x including -0.0 and NaN, so both give the same bits."""
     if x.shape != upstream.shape:
         raise ShapeError(f"relu_vjp: shape mismatch {x.shape} vs {upstream.shape}")
     return np.where(x > 0, upstream, np.zeros((), dtype=upstream.dtype))

@@ -152,6 +152,17 @@ def validation_dice(spec, params, val_samples):
     return sum(dices) / len(dices)
 
 
+def train_step(spec, params, state, images, masks, lr, cfg):
+    """forward -> soft Dice -> backward -> Adam at rate lr, updating params
+    and state in place; returns the loss. The tape, probabilities and
+    gradients are locals, so they are freed before the next step begins."""
+    prob, tape = forward(spec, params, images, keep_intermediates=True)
+    loss, dprob = soft_dice_loss(prob, masks, cfg.smooth)
+    grads = backward(tape, dprob)
+    adam_step(params, grads, state, lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+    return loss
+
+
 def train(spec, dataset, cfg, progress=None):
     """Full recipe: seeded per-epoch shuffles, forward -> soft Dice ->
     backward -> Adam with the step-decayed rate, validation Dice per epoch,
@@ -178,14 +189,9 @@ def train(spec, dataset, cfg, progress=None):
         for batch_idx, (images, masks) in enumerate(
             batches(train_part, cfg.batch_size, epoch_seeds.next_u64())
         ):
+            lr = lr_at(global_step, cfg)
             try:
-                prob, tape = forward(spec, params, images, keep_intermediates=True)
-                loss, dprob = soft_dice_loss(prob, masks, cfg.smooth)
-                grads = backward(tape, dprob)
-                lr = lr_at(global_step, cfg)
-                adam_step(
-                    params, grads, state, lr, cfg.beta1, cfg.beta2, cfg.adam_eps
-                )
+                loss = train_step(spec, params, state, images, masks, lr, cfg)
             except (ShapeError, NumericsError) as e:
                 raise type(e)(f"epoch {epoch} batch {batch_idx}: {e}") from e
             log.steps.append((global_step, lr, loss))

@@ -1,6 +1,6 @@
 import numpy as np
 
-from rfbs import analysis, model
+from rfbs import analysis, model, ops
 
 from conftest import rand_f64
 
@@ -78,11 +78,11 @@ class TestBruteForceMacs:
         for node in desk_spec.nodes:
             if node.kind != "conv":
                 continue
-            out, macs = _by_definition(
-                node, tape.activations[node.inputs[0]], params[f"{node.name}.weight"]
-            )
+            x_in = tape.activations[node.inputs[0]]  # kept: conv's VJP reads it
+            out, macs = _by_definition(node, x_in, params[f"{node.name}.weight"])
             out += params[f"{node.name}.bias"][None, :, None, None]
-            assert np.allclose(out, tape.activations[node.name], rtol=1e-12, atol=1e-12)
+            engine = ops.conv2d(x_in, model._conv_params(node, params))
+            assert np.allclose(out, engine, rtol=1e-12, atol=1e-12)
             bias_adds = out.size  # batch 1: one per output element
             assert report[node.name].flops == 2 * macs + bias_adds, node.name
             checked += 1

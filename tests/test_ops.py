@@ -187,6 +187,20 @@ class TestConv2dVjp:
             summed += dwi
         assert summed.tobytes() == dweight.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pointwise_dx_is_one_gemm(self, dtype):
+        # at k == 1 each image's dx is W^T @ upstream, bit for bit (head_conv's
+        # 16 -> 2 shape)
+        x = rand_f64((3, 16, 12, 10), seed=41).astype(dtype)
+        p = conv_params(rand_f64((2, 16, 1, 1), seed=42).astype(dtype),
+                        rand_f64((2,), seed=43).astype(dtype))
+        u = rand_f64((3, 2, 12, 10), seed=44).astype(dtype)
+        dx, _, _ = ops.conv2d_vjp(x, p, u)
+        wmat = p.weight.reshape(2, 16)
+        for i in range(x.shape[0]):
+            expect = (wmat.T @ u[i].reshape(2, -1)).reshape(16, 12, 10)
+            assert dx[i].tobytes() == expect.tobytes()
+
 
 class TestMaxpool:
     def test_simple(self):
@@ -378,6 +392,16 @@ class TestRelu:
     def test_zero_gets_zero_gradient(self):
         x = tensor.from_values([1], [0.0])
         assert ops.relu_vjp(x, tensor.from_values([1], [7.0])).item() == 0.0
+
+    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(width=32)),
+                    min_size=1, max_size=16),
+           st.sampled_from([np.float32, np.float64]))
+    @settings(max_examples=100, deadline=None)
+    def test_vjp_reads_input_or_output(self, values, dtype):
+        # the backward feeds relu_vjp relu's output instead of its input
+        x = np.array(values, dtype=dtype)
+        up = np.arange(1, x.size + 1, dtype=dtype)
+        assert ops.relu_vjp(ops.relu(x), up).tobytes() == ops.relu_vjp(x, up).tobytes()
 
 
 class TestSoftmax:

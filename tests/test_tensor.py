@@ -85,10 +85,9 @@ class TestConcatChannels:
     def test_downsampler_shape(self, desk_spec, desk_params):
         x = tensor.zeros([1, 1, 256, 256])
         _, tape = model.forward(desk_spec, desk_params, x, keep_intermediates=True)
-        acts = tape.activations
-        assert acts["ds_conv"].shape == (1, 15, 128, 128)
-        assert acts["ds_pool"].shape == (1, 1, 128, 128)
-        assert acts["ds_cat"].shape == (1, 16, 128, 128)
+        assert tape.shapes["ds_conv"] == (1, 15, 128, 128)
+        assert tape.shapes["ds_pool"] == (1, 1, 128, 128)
+        assert tape.shapes["ds_cat"] == (1, 16, 128, 128)
 
 
 class TestReduceSum:

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -200,6 +201,22 @@ class TestTrain:
         best_logged = max(e[2] for e in log.epochs)
         rescored = training.validation_dice(desk_spec, best, ds.part("val"))
         assert rescored == best_logged
+
+    def test_previous_tape_freed_before_next_forward(self, desk_spec, monkeypatch):
+        forward = training.forward
+        tapes, live = [], []
+
+        def tracked(spec, params, x, keep_intermediates=False):
+            live.append(sum(r() is not None for r in tapes))
+            y, tape = forward(spec, params, x, keep_intermediates)
+            if tape is not None:
+                tapes.append(weakref.ref(tape))
+            return y, tape
+
+        monkeypatch.setattr(training, "forward", tracked)
+        ds = tiny_dataset(n=20, size=32)  # 16 train samples: 4 steps at batch 4
+        training.train(desk_spec, ds, training.TrainConfig(batch_size=4, epochs=1, seed=1))
+        assert len(tapes) == 4 and live == [0] * len(live)
 
     def test_requires_both_splits(self, desk_spec):
         ds = data.generate_phantoms(4, 64, seed=0)  # all train, no val
