@@ -237,39 +237,57 @@ def _conv_params(node, params):
 
 @dataclass
 class Tape:
-    """What backward needs from one forward: the activations its VJPs read
-    (see _VJP_READS) plus the output, and the shape of the input and of
-    every node. forward released every other activation as it went."""
+    """What backward needs from one forward: each node's pullback, which
+    holds exactly the activations that node's VJP reads (see _run_node), the
+    parameters, and the shape of the input and of every node."""
 
     spec: ArchitectureSpec
     params: ParameterStore
-    activations: dict
+    pullbacks: list
     shapes: dict
 
 
 def _run_node(node, params, ins):
+    """Run one node; returns (output, pullback).
+
+    pullback(up) returns one gradient per input and then, for conv and
+    tconv, the weight and bias gradients. Each pullback closes over just
+    what its VJP reads, so that is all a tape keeps: conv, tconv and maxpool
+    their input, relu and softmax their own output, concat its first
+    operand's channel count, add and upsample nothing. relu_vjp's mask x > 0
+    is the same for relu's input and output, so relu holds its output, mostly
+    a conv's input and held anyway, and no conv output is held. Pullbacks
+    look each VJP up in ops when called, so a wrapped ops function sees it.
+    """
     if node.kind == "conv":
-        return ops.conv2d(ins[0], _conv_params(node, params))
+        x, p = ins[0], _conv_params(node, params)
+        return ops.conv2d(x, p), lambda up: ops.conv2d_vjp(x, p, up)
     if node.kind == "tconv":
-        return ops.transposed_conv2d(ins[0], _conv_params(node, params))
+        x, p = ins[0], _conv_params(node, params)
+        return ops.transposed_conv2d(x, p), lambda up: ops.transposed_conv2d_vjp(x, p, up)
     if node.kind == "maxpool":
-        return ops.maxpool2x2(ins[0])
+        x = ins[0]
+        return ops.maxpool2x2(x), lambda up: (ops.maxpool2x2_vjp(x, up),)
     if node.kind == "relu":
-        return ops.relu(ins[0])
+        y = ops.relu(ins[0])
+        return y, lambda up: (ops.relu_vjp(y, up),)
     if node.kind == "concat":
         a, b = ins
         if a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
             raise ShapeError(f"batch/spatial mismatch {a.shape} vs {b.shape}")
-        return np.concatenate(ins, axis=1)
+        ca = a.shape[1]
+        return np.concatenate(ins, axis=1), lambda up: (
+            np.ascontiguousarray(up[:, :ca]), np.ascontiguousarray(up[:, ca:]))
     if node.kind == "add":
         a, b = ins
         if a.shape != b.shape:  # numpy would broadcast
             raise ShapeError(f"operand shapes differ: {a.shape} vs {b.shape}")
-        return a + b
+        return a + b, lambda up: (up, up)
     if node.kind == "upsample_nearest":
-        return ops.nearest_upsample2x(ins[0])
+        return ops.nearest_upsample2x(ins[0]), lambda up: (ops.nearest_upsample2x_vjp(up),)
     if node.kind == "softmax":
-        return ops.softmax_channels(ins[0])
+        y = ops.softmax_channels(ins[0])
+        return y, lambda up: (ops.softmax_channels_vjp(y, up),)
     raise ShapeError(f"unknown node kind {node.kind!r}")
 
 
@@ -283,13 +301,13 @@ _SCANNED_KINDS = {"conv", "tconv", "add", "softmax"}
 def forward(spec, params, x, keep_intermediates=False):
     """Run the graph; returns (probability map, tape).
 
-    Each activation is released after the last node that reads it unless
-    it is the output or, with keep_intermediates, backward reads it: the
-    tape then holds exactly those and every node's shape. Without
-    keep_intermediates the tape is None. A non-finite value is reported by
-    the name of the node it first shows in (the first node, for a
-    non-finite input), and a node's ShapeError or UnsupportedConfigError is
-    prefixed with the node's name.
+    Each activation is released after the last node that reads it; with
+    keep_intermediates the tape holds every node's pullback, which keeps
+    only what that node's VJP reads (see _run_node), and every node's shape.
+    Without keep_intermediates the tape is None. A non-finite value is
+    reported by the name of the node it first shows in (the first node, for
+    a non-finite input), and a node's ShapeError or UnsupportedConfigError
+    is prefixed with the node's name.
     """
     if not isinstance(x, np.ndarray) or x.ndim != 4:
         raise ShapeError("forward input must be a rank-4 NCHW array")
@@ -306,57 +324,42 @@ def forward(spec, params, x, keep_intermediates=False):
         raise NumericsError(
             f"non-finite input {spec.input_name!r} to node {spec.nodes[0].name!r}"
         )
-    keep = {spec.output_name}
-    if keep_intermediates:
-        keep |= {_vjp_read(node) for node in spec.nodes} - {None}
     values = {spec.input_name: x}
     shapes = {spec.input_name: x.shape}
+    pullbacks = []
     last_use = {s: i for i, node in enumerate(spec.nodes) for s in node.inputs}
     for i, node in enumerate(spec.nodes):
         try:
-            out = _run_node(node, params, [values[s] for s in node.inputs])
+            out, pullback = _run_node(node, params, [values[s] for s in node.inputs])
         except (ShapeError, UnsupportedConfigError) as e:
             raise type(e)(f"node {node.name!r}: {e}") from None
         if node.kind in _SCANNED_KINDS and not np.isfinite(out).all():
             raise NumericsError(f"non-finite activation in node {node.name!r}")
+        if keep_intermediates:
+            pullbacks.append(pullback)
+        del pullback  # without a tape, what it holds must not outlive the node
         values[node.name] = out
         shapes[node.name] = out.shape
-        for s in node.inputs:  # drop what no later node reads, unless kept
-            if last_use[s] == i and s not in keep:
+        for s in node.inputs:  # drop what no later node reads
+            if last_use[s] == i:
                 values.pop(s, None)
     y = values[spec.output_name]
     if keep_intermediates:
-        return y, Tape(spec, params, values, shapes)
+        return y, Tape(spec, params, pullbacks, shapes)
     return y, None
-
-
-# The one activation each kind's VJP reads: its first input or its own
-# output. relu_vjp's mask x > 0 is the same for relu's input and output, so
-# relu reads its output, mostly a conv's input and kept anyway, and no conv
-# output is kept. concat, add and upsample_nearest read no values; concat
-# splits the upstream at its first operand's channel count, from
-# Tape.shapes. forward keeps exactly these activations on the tape.
-_VJP_READS = {"conv": "input", "tconv": "input", "maxpool": "input",
-              "relu": "output", "softmax": "output"}
-
-
-def _vjp_read(node):
-    """Name of the activation node's VJP reads, or None if it reads none."""
-    reads = _VJP_READS.get(node.kind)
-    if reads is None:
-        return None
-    return node.name if reads == "output" else node.inputs[0]
 
 
 def backward(tape, loss_grad):
     """Gradients for every parameter given d(loss)/d(output).
 
-    Skip connections accumulate gradients from all consumers; concat splits
-    the upstream back onto its operands.
+    Runs the tape's pullbacks in reverse node order; what each reads is
+    decided where forward made it, in _run_node. Skip connections
+    accumulate gradients from all consumers; concat splits the upstream
+    back onto its operands.
     """
     if tape is None:
         raise ShapeError("backward needs a tape from forward(keep_intermediates=True)")
-    spec, params, values = tape.spec, tape.params, tape.activations
+    spec = tape.spec
     out_shape = tape.shapes[spec.output_name]
     if loss_grad.shape != out_shape:
         raise ShapeError(
@@ -364,37 +367,17 @@ def backward(tape, loss_grad):
         )
     upstream = {spec.output_name: loss_grad}
     param_grads = {}
-    for node in reversed(spec.nodes):
+    for node, pullback in zip(reversed(spec.nodes), reversed(tape.pullbacks)):
         up = upstream.pop(node.name, None)
         if up is None:
             continue
-        x = values.get(_vjp_read(node))  # None for the kinds that read no values
-        if node.kind in ("conv", "tconv"):
-            vjp = ops.conv2d_vjp if node.kind == "conv" else ops.transposed_conv2d_vjp
-            dx, dw, db = vjp(x, _conv_params(node, params), up)
-            param_grads[f"{node.name}.weight"] = dw
-            param_grads[f"{node.name}.bias"] = db
-            dins = (dx,)
-        elif node.kind == "maxpool":
-            dins = (ops.maxpool2x2_vjp(x, up),)
-        elif node.kind == "relu":
-            dins = (ops.relu_vjp(x, up),)
-        elif node.kind == "concat":
-            ca = tape.shapes[node.inputs[0]][1]
-            dins = (np.ascontiguousarray(up[:, :ca]), np.ascontiguousarray(up[:, ca:]))
-        elif node.kind == "add":
-            dins = (up, up)
-        elif node.kind == "upsample_nearest":
-            dins = (ops.nearest_upsample2x_vjp(up),)
-        else:  # softmax
-            dins = (ops.softmax_channels_vjp(x, up),)
-        for target, grad in zip(node.inputs, dins):
+        grads = pullback(up)
+        for target, grad in zip(node.inputs, grads):
             upstream[target] = upstream[target] + grad if target in upstream else grad
-    grads = {}
-    for name, value in params.items():
-        got = param_grads.get(name)
-        grads[name] = got if got is not None else np.zeros_like(value)
-    return grads
+        for suffix, grad in zip((".weight", ".bias"), grads[len(node.inputs):]):
+            param_grads[node.name + suffix] = grad
+    return {name: param_grads[name] if name in param_grads else np.zeros_like(value)
+            for name, value in tape.params.items()}
 
 
 # -- checkpoints ("RFBC") ------------------------------------------------------

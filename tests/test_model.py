@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import weakref
 
@@ -85,7 +86,6 @@ class TestInferShapes:
     def test_equals_forward_tape_shapes(self, desk_spec, desk_params, h, w):
         x = rand_f32((2, 1, h, w), seed=h * 100 + w)
         _, tape = model.forward(desk_spec, desk_params, x, keep_intermediates=True)
-        assert all(tape.shapes[name] == v.shape for name, v in tape.activations.items())
         assert model.infer_shapes(desk_spec, (2, 1, h, w)) == tape.shapes
 
     @pytest.mark.parametrize("extent", [0, -16])
@@ -178,13 +178,25 @@ class TestForward:
         with pytest.raises(NumericsError, match="sh_conv"):
             model.forward(desk_spec, bad, np.ones((1, 1, 32, 32), np.float32))
 
-    def test_tape_keeps_what_backward_reads(self, desk_spec, desk_params):
+    def test_tape_keeps_what_backward_reads(self, desk_spec, desk_params, monkeypatch):
+        # the pullbacks hold relu and softmax outputs and conv inputs; every
+        # other node output is gone once forward returns
+        run_node, outs = model._run_node, {}
+
+        def tracking(node, params, ins):
+            out, pullback = run_node(node, params, ins)
+            outs[node.name] = weakref.ref(out)
+            return out, pullback
+
+        monkeypatch.setattr(model, "_run_node", tracking)
         x = rand_f32((2, 1, 32, 32), seed=76)
         _, tape = model.forward(desk_spec, desk_params, x, keep_intermediates=True)
+        gc.collect()
+        live = {name: ref() for name, ref in outs.items() if ref() is not None}
         relus = [n.name for n in desk_spec.nodes if n.kind == "relu"]
         assert len(relus) == 10
-        assert set(tape.activations) == {"image", *relus, "d1_add", "d2_add",
-                                         "head_up", "probs"}
+        assert set(live) == {*relus, "d1_add", "d2_add", "head_up", "probs"}
+        assert all(tape.shapes[name] == v.shape for name, v in live.items())
         assert list(tape.shapes) == ["image"] + [n.name for n in desk_spec.nodes]
 
 
@@ -193,11 +205,11 @@ def _inject(monkeypatch, target, bad):
     run_node = model._run_node
 
     def injecting(node, params, ins):
-        out = run_node(node, params, ins)
+        out, pullback = run_node(node, params, ins)
         if node.name == target:
             out = out.copy()
             out.flat[out.size // 2] = bad
-        return out
+        return out, pullback
 
     monkeypatch.setattr(model, "_run_node", injecting)
 
@@ -272,6 +284,36 @@ class TestBackward:
         g2 = model.backward(tape2, up)["c.weight"]
         g1 = model.backward(tape1, up)["c.weight"]
         assert np.array_equal(g2, 2.0 * g1)
+
+    def test_calls_each_vjp_through_ops_in_reverse_node_order(self, desk_spec,
+                                                              desk_params, monkeypatch):
+        # benchmark/layers.attribute maps traced ops.*_vjp calls to nodes by
+        # this order, so each VJP is looked up in ops when backward runs
+        vjps = {"conv": "conv2d_vjp", "tconv": "transposed_conv2d_vjp",
+                "maxpool": "maxpool2x2_vjp", "relu": "relu_vjp",
+                "upsample_nearest": "nearest_upsample2x_vjp",
+                "softmax": "softmax_channels_vjp"}
+        x = rand_f32((2, 1, 32, 32), seed=84)
+        y, tape = model.forward(desk_spec, desk_params, x, keep_intermediates=True)
+        up = rand_f32(y.shape, seed=85)
+        want = model.backward(tape, up)
+        calls = []
+
+        def recorder(fn):
+            orig = getattr(ops, fn)
+
+            def record(*args):
+                calls.append(fn)
+                return orig(*args)
+            return record
+
+        for fn in vjps.values():
+            monkeypatch.setattr(ops, fn, recorder(fn))
+        got = model.backward(tape, up)
+        expect = [vjps[n.kind] for n in reversed(desk_spec.nodes) if n.kind in vjps]
+        assert calls == expect
+        assert [calls.count(fn) for fn in vjps.values()] == [11, 3, 1, 10, 1, 1]
+        assert all(got[name].tobytes() == g.tobytes() for name, g in want.items())
 
 
 class TestConcatNode:
