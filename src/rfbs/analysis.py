@@ -7,10 +7,11 @@ comparisons per output element. relu and add: 1 per element. softmax: 4*C per
 pixel. upsample and concat: 0.
 """
 
+import math
 from dataclasses import dataclass
 
 from .errors import ShapeError
-from .model import infer_shapes
+from .model import infer_shapes, parameter_shapes
 
 FLOP_CONVENTION = "MAC=2, bias adds included, per-image (N=1)"
 
@@ -39,10 +40,8 @@ class CostReport:
 
 
 def node_params(node):
-    """Kh*Kw*Cin*Cout + Cout for conv/tconv, 0 for everything else."""
-    if node.kind in ("conv", "tconv"):
-        return node.kernel * node.kernel * node.cin * node.cout + node.cout
-    return 0
+    """Element count of the parameters model.parameter_shapes gives the node."""
+    return sum(math.prod(shape) for shape in parameter_shapes([node]).values())
 
 
 def count_params(spec):

@@ -51,12 +51,12 @@ def bench_input(spec, size):
     return values.astype(np.float32)
 
 
-def bench_forward(spec, params, input_shape, iters=100, warmup=10):
-    """Time `iters` forward passes at batch 1 after `warmup` untimed ones."""
+def bench_forward(spec, params, size, iters=100, warmup=10):
+    """Time `iters` batch-1 forward passes at size x size after `warmup`
+    untimed ones."""
     if iters < 1 or warmup < 0:
         raise ShapeError(f"need iters >= 1 and warmup >= 0, got {iters}/{warmup}")
-    size = int(input_shape[-1])
-    x = bench_input(spec, size)  # batch dimension forced to 1
+    x = bench_input(spec, size)
     cost = count_flops(spec, x.shape)
     for _ in range(warmup):
         forward(spec, params, x)

@@ -78,8 +78,8 @@ _COMMANDS = {
     "generate": {
         "out": (str, None, "output dataset directory"),
         "count": (_checked(int, lambda v: v >= 2, ">= 2"), 250, "number of phantoms"),
-        "size": (_checked(int, lambda v: v >= 64 and v % 2 == 0, "even and >= 64"), 256,
-                 "image size (even, >= 64)"),
+        "size": (_checked(_net_size, lambda v: v >= 64, ">= 64"), 256,
+                 "image size (a multiple of 16, >= 64)"),
         "seed": (int, 0, "generation/split seed"),
         "train-fraction": (_checked(float, lambda v: 0 < v < 1, "in (0, 1)"), 0.8,
                            "train split fraction"),
@@ -274,10 +274,8 @@ def cmd_eval(cfg):
 
 def cmd_bench(cfg):
     spec, params = _load_model(cfg["ckpt"])
-    report = bench.bench_forward(
-        spec, params, (1, spec.in_channels, cfg["size"], cfg["size"]),
-        iters=cfg["iters"], warmup=cfg["warmup"],
-    )
+    report = bench.bench_forward(spec, params, cfg["size"], iters=cfg["iters"],
+                                 warmup=cfg["warmup"])
     print(bench.format_text(report), end="")
     if cfg["tsv"]:
         _write(cfg["tsv"], bench.format_tsv(report))

@@ -158,53 +158,25 @@ def infer_shapes(spec, input_shape):
     if len(input_shape) != 4 or any(int(v) < 1 for v in input_shape):
         raise ShapeError(f"input shape must be NCHW with extents >= 1, got {input_shape}")
     n, c, h, w = (int(v) for v in input_shape)
-    params = ParameterStore()
-    for name, shape in parameter_shapes(spec).items():
-        params.add(name, np.zeros(shape, dtype=np.float32))
+    params = ParameterStore({name: np.zeros(shape, dtype=np.float32)
+                             for name, shape in parameter_shapes(spec.nodes).items()})
     x = np.zeros((0, c, h, w), dtype=np.float32)
     _, tape = forward(spec, params, x, keep_intermediates=True)
     return {name: (n,) + shape[1:] for name, shape in tape.shapes.items()}
 
 
-class ParameterStore:
+class ParameterStore(dict):
     """Insertion-ordered mapping of parameter name -> array."""
 
-    def __init__(self):
-        self._params = {}
-
-    def add(self, name, value):
-        if name in self._params:
-            raise ShapeError(f"duplicate parameter {name!r}")
-        self._params[name] = value
-
-    def __getitem__(self, name):
-        return self._params[name]
-
-    def __setitem__(self, name, value):
-        if name not in self._params:
-            raise KeyError(name)
-        self._params[name] = value
-
-    def __contains__(self, name):
-        return name in self._params
-
-    def __len__(self):
-        return len(self._params)
-
     def names(self):
-        return list(self._params)
-
-    def items(self):
-        return self._params.items()
+        return list(self)
 
     def total_elements(self):
-        return sum(int(v.size) for v in self._params.values())
+        return sum(int(v.size) for v in self.values())
 
     def copy(self):
-        out = ParameterStore()
-        for name, value in self._params.items():
-            out.add(name, value.copy())
-        return out
+        """A store of copies of the arrays, not only of the mapping."""
+        return ParameterStore({name: value.copy() for name, value in self.items()})
 
 
 def init_params(spec, seed, dtype=np.float32):
@@ -215,14 +187,14 @@ def init_params(spec, seed, dtype=np.float32):
     """
     prng = Prng(seed)
     params = ParameterStore()
-    for name, shape in parameter_shapes(spec).items():
+    for name, shape in parameter_shapes(spec.nodes).items():
         if name.endswith(".bias"):
-            params.add(name, np.zeros(shape, dtype=dtype))
+            params[name] = np.zeros(shape, dtype=dtype)
             continue
         fan_in = int(np.prod(shape[1:]))
         bound = np.sqrt(6.0 / fan_in)
         draws = prng.fill_f64(int(np.prod(shape))) * 2.0 - 1.0
-        params.add(name, (draws * bound).reshape(shape).astype(dtype))
+        params[name] = (draws * bound).reshape(shape).astype(dtype)
     return params
 
 
@@ -433,7 +405,7 @@ def load_checkpoint(path, expected_spec=None):
             raise FormatError(f"checkpoint: duplicate parameter {name!r}")
         pos += name_len
         value, pos = decode_rft1(buf, pos)
-        params.add(name, value)
+        params[name] = value
     if pos != len(buf):
         raise FormatError(f"checkpoint: {len(buf) - pos} trailing bytes")
     if expected_spec is not None:
@@ -443,7 +415,7 @@ def load_checkpoint(path, expected_spec=None):
                 f"checkpoint architecture hash {cfg_hash:#010x} does not match "
                 f"{expected_spec.arch_id} ({expected:#010x})"
             )
-        shapes = parameter_shapes(expected_spec)
+        shapes = parameter_shapes(expected_spec.nodes)
         if params.names() != list(shapes):
             raise FormatError("checkpoint: parameter names do not match architecture")
         for name, value in params.items():
@@ -455,10 +427,10 @@ def load_checkpoint(path, expected_spec=None):
     return cfg_hash, params
 
 
-def parameter_shapes(spec):
-    """Expected name -> shape map, in parameter order."""
+def parameter_shapes(nodes):
+    """Expected name -> shape map of the nodes' parameters, in parameter order."""
     shapes = {}
-    for node in spec.nodes:
+    for node in nodes:
         if node.kind in ("conv", "tconv"):
             k = node.kernel
             shapes[f"{node.name}.weight"] = (node.cout, node.cin, k, k)

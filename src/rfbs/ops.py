@@ -355,9 +355,9 @@ def grad_check(
 
     All inputs must be float64. `f(*inputs)` returns an array, possibly of a
     wider float dtype; the central differences are taken in that dtype.
-    `vjp(*inputs, upstream)` returns one gradient array per input (None
-    entries are skipped). With max_coords set, a seeded subset of
-    coordinates per input is checked instead of every coordinate.
+    `vjp(*inputs, upstream)` returns one gradient array per input. With
+    max_coords set, a seeded subset of coordinates per input is checked
+    instead of every coordinate.
     """
     inputs = [np.asarray(v) for v in inputs]
     for v in inputs:
@@ -381,8 +381,6 @@ def grad_check(
         return np.sum(upstream * f(*args))
 
     for idx, (name, value, grad) in enumerate(zip(input_names, inputs, analytic)):
-        if grad is None:
-            continue
         if not np.isfinite(grad).all():
             raise NumericsError(f"grad_check({op}): non-finite gradient for {name}")
         worst = 0.0

@@ -29,7 +29,7 @@ class TestStats:
 
 @pytest.fixture(scope="module")
 def report(desk_spec, desk_params):
-    return bench.bench_forward(desk_spec, desk_params, (1, 1, 32, 32), iters=5, warmup=2)
+    return bench.bench_forward(desk_spec, desk_params, 32, iters=5, warmup=2)
 
 
 class TestBenchForward:
@@ -70,9 +70,7 @@ class TestBenchForward:
 
 class TestTsv:
     def test_rows_reproduce_summary_exactly(self, desk_spec, desk_params):
-        report = bench.bench_forward(
-            desk_spec, desk_params, (1, 1, 32, 32), iters=7, warmup=1
-        )
+        report = bench.bench_forward(desk_spec, desk_params, 32, iters=7, warmup=1)
         lines = bench.format_tsv(report).strip().split("\n")
         rows = [l for l in lines if not l.startswith("#")]
         iter_rows, summary = rows[:-1], rows[-1]
@@ -89,9 +87,7 @@ class TestTsv:
         assert abs(std - recomputed_std) <= 1e-9
 
     def test_header_records_protocol(self, desk_spec, desk_params):
-        report = bench.bench_forward(
-            desk_spec, desk_params, (1, 1, 32, 32), iters=2, warmup=1
-        )
+        report = bench.bench_forward(desk_spec, desk_params, 32, iters=2, warmup=1)
         tsv = bench.format_tsv(report)
         assert "# batch = 1" in tsv
         assert "# warmup = 1" in tsv

@@ -64,7 +64,8 @@ _REQUIRED = {"bench": ["--ckpt", "none.ckpt"], "generate": ["--out", "none"],
     ("generate", "train-fraction", "1.5"), ("generate", "train-fraction", "0"),
     ("generate", "train-fraction", "1"),
     ("gradcheck", "tol", "-1"), ("gradcheck", "tol", "inf"),
-    ("generate", "size", "65"), ("generate", "count", "1"), ("eval", "split", "bogus"),
+    ("generate", "size", "65"), ("generate", "size", "72"), ("generate", "count", "1"),
+    ("eval", "split", "bogus"),
     ("bench", "size", "17"), ("analyze", "size", "17"), ("analyze", "arch", "resnet"),
     ("gradcheck", "scale", "huge"),
 ])

@@ -398,6 +398,19 @@ class TestInitParams:
         assert a["ds_conv.weight"].tobytes() != b["ds_conv.weight"].tobytes()
 
 
+class TestParameterStore:
+    def test_copy_copies_the_arrays(self, desk_spec):
+        params = model.init_params(desk_spec, seed=10)
+        before = {name: value.tobytes() for name, value in params.items()}
+        copied = params.copy()
+        assert isinstance(copied, model.ParameterStore)
+        assert copied.names() == params.names()
+        for name in params.names():
+            assert not np.shares_memory(copied[name], params[name])
+            params[name] += 1.0  # in place, as Adam updates
+            assert copied[name].tobytes() == before[name]
+
+
 class TestCheckpoint:
     def test_round_trip_bitwise(self, desk_spec, desk_params, tmp_path):
         path = tmp_path / "m.ckpt"

@@ -101,9 +101,7 @@ class TestLrSchedule:
 
 
 def scalar_store(value, dtype=np.float64):
-    store = ParameterStore()
-    store.add("w", np.array([value], dtype=dtype))
-    return store
+    return ParameterStore(w=np.array([value], dtype=dtype))
 
 
 class TestAdam:
