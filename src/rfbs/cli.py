@@ -12,8 +12,10 @@ import os
 import sys
 
 # Pin BLAS pools to one thread so results are bit-identical regardless of the
-# machine's core count; must happen before numpy is first imported. The
-# RFBS_THREADS worker count parallelizes only across independent images.
+# machine's core count; must happen before numpy is first imported. The conv
+# ops spread a batch's images over the usable CPUs themselves (ops._each_image),
+# with results that do not depend on the CPU count; RFBS_THREADS is only
+# eval's outer worker count.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
              "NUMEXPR_NUM_THREADS"):
     os.environ.setdefault(_var, "1")

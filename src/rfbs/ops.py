@@ -10,14 +10,19 @@ s2, transposed conv k2 s2. All four conv ops (conv2d, transposed_conv2d and
 their VJPs) run one image at a time in one GEMM layout, a shifted-row patch
 matrix: K*K contiguous column slices of the zero-padded, channel-major image
 split into its stride phases (see _shifted_rows); at k2 s2 each tap is one
-whole phase. The VJPs sum the weight gradient over the images in index
-order. Every forward is deterministic (bit-identical for identical inputs),
-ReLU's gradient at exactly 0 is 0, and the max-pool VJP recomputes each
-window's winner from its input, breaking ties to the first element in
-row-major window order.
+whole phase. The images of a batch run on every usable CPU (_each_image):
+each image writes only its own output, and the VJPs sum the per-image weight
+gradients in index order once all images are done, so no output depends on
+the CPU count. BLAS itself stays on one thread. Every forward is
+deterministic (bit-identical for identical inputs), ReLU's gradient at
+exactly 0 is 0, and the max-pool VJP recomputes each window's winner from
+its input, breaking ties to the first element in row-major window order.
 """
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -124,37 +129,76 @@ def _channel_major(a, pad, hp, wp):
     return out
 
 
-def _patches(x, s, pad, hq, wq, span, taps):
-    """(Cin*K*K, span) patch matrix of one image x (Cin, H, W), with rows in
-    the weight's own (cin, a, b) order, so the weight needs no reorder; at
-    k == 1 it is the image itself."""
+def _patches(x, s, pad, hq, wq, span, taps, cols):
+    """(Cin*K*K, span) patch matrix of one image x (Cin, H, W), written into
+    `cols`, with rows in the weight's own (cin, a, b) order, so the weight
+    needs no reorder; at k == 1 it is the image itself and `cols` is unused."""
     c = x.shape[0]
     xp = _channel_major(x, pad, s * hq, s * wq)
     ph = xp.reshape(c, hq, s, wq, s).transpose(2, 4, 0, 1, 3)
     ph = ph.reshape(s * s, c, hq * wq)  # no copy at s == 1
     if len(taps) == 1:
         return ph[0]
-    cols = np.empty((c, len(taps), span), dtype=x.dtype)
+    rows = cols.reshape(c, len(taps), span)
     for t, (i, off) in enumerate(taps):
-        cols[:, t] = ph[i, :, off:off + span]
-    return cols.reshape(c * len(taps), span)
+        rows[:, t] = ph[i, :, off:off + span]
+    return cols
+
+
+def _usable_cpus():
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _each_image(n, fn, *scratch):
+    """[fn(i, *buffers) for i in range(n)], with image i run by participant
+    i % W of W = min(n, usable CPUs): the calling thread is participant 0 and
+    the other W - 1 run on a pool that lives for this call only. Each
+    participant gets its own buffers, one per zero-argument allocator in
+    `scratch`, allocated here in the calling thread. fn must write only what
+    belongs to image i. At n <= 1 nothing is started; at n == 0 nothing is
+    allocated."""
+    workers = n if n < 2 else min(n, _usable_cpus())
+    buffers = [[make() for make in scratch] for _ in range(workers)]
+
+    def share(j):
+        return [fn(i, *buffers[j]) for i in range(j, n, workers)]
+
+    if workers < 2:
+        return share(0) if workers else []
+    with ThreadPoolExecutor(workers - 1) as pool:
+        futures = [pool.submit(share, j) for j in range(1, workers)]
+        try:
+            own = share(0)
+        finally:  # wait for every image, and raise any participant's error
+            others = [f.result() for f in futures]
+    shares = [own, *others]
+    return [shares[i % workers][i // workers] for i in range(n)]
 
 
 def conv2d(x, p):
     """Cross-correlation plus bias; output (N, Cout, Hout, Wout). Runs one
     GEMM per image, so each image's patch matrix stays small."""
     k, hout, wout = _conv_geometry(x, p, "conv2d")
-    n, _, h, w = x.shape
+    n, cin, h, w = x.shape
     s, pad = p.stride, p.padding
     hq, wq, span, taps = _shifted_rows(h, w, k, s, pad)
     wmat = p.weight.reshape(p.cout, -1)
     bias = p.bias[:, None, None]
     out = np.empty((n, p.cout, hout, wout), dtype=x.dtype)
-    for i in range(n):
-        cols = _patches(x[i], s, pad, hq, wq, span, taps)
-        y = np.empty((p.cout, hq, wq), dtype=x.dtype)  # per image: none at batch 0
-        np.matmul(wmat, cols, out=y.reshape(p.cout, -1)[:, :span])
-        np.add(y[:, :hout, :wout], bias, out=out[i])
+
+    def one(i, y, cols=None):
+        cols = _patches(x[i], s, pad, hq, wq, span, taps, cols)
+        np.matmul(wmat, cols, out=y[:, :span])
+        np.add(y.reshape(p.cout, hq, wq)[:, :hout, :wout], bias, out=out[i])
+
+    scratch = [partial(np.empty, (p.cout, hq * wq), x.dtype)]
+    if k > 1:
+        scratch.append(partial(np.empty, (cin * k * k, span), x.dtype))
+    _each_image(n, one, *scratch)
     return out
 
 
@@ -170,24 +214,31 @@ def conv2d_vjp(x, p, upstream):
     s, pad = p.stride, p.padding
     hq, wq, span, taps = _shifted_rows(h, w, k, s, pad)
     wmat = p.weight.reshape(p.cout, -1)
-    dweight = np.zeros(wmat.shape, dtype=x.dtype)
     dx = np.empty(x.shape, dtype=x.dtype)
-    for i in range(n):
-        cols = _patches(x[i], s, pad, hq, wq, span, taps)
+
+    def one(i, cols=None):
+        """Writes dx[i]; returns image i's weight gradient."""
+        cols = _patches(x[i], s, pad, hq, wq, span, taps, cols)
         # zero upstream on the columns conv2d drops
         up = _channel_major(upstream[i], 0, hq, wq).reshape(p.cout, -1)[:, :span]
-        dweight += up @ cols.T
-        del cols
+        dweight = up @ cols.T
         if k == 1:  # s1 p0: the GEMM's output is dx[i] itself
             np.matmul(wmat.T, up, out=dx[i].reshape(cin, -1))
-            continue
-        dcols = (wmat.T @ up).reshape(cin, k * k, span)
+            return dweight
+        dcols = np.matmul(wmat.T, up, out=cols).reshape(cin, k * k, span)
         dph = np.zeros((s * s, cin, hq * wq), dtype=x.dtype)
         for t, (j, off) in enumerate(taps):
             dph[j, :, off:off + span] += dcols[:, t]
         dxp = dph.reshape(s, s, cin, hq, wq).transpose(2, 3, 0, 4, 1)
         dxp = dxp.reshape(cin, s * hq, s * wq)
         dx[i] = dxp[:, pad:pad + h, pad:pad + w]
+        return dweight
+
+    # one buffer per participant, holding first the patches, then dcols
+    scratch = [partial(np.empty, (cin * k * k, span), x.dtype)] if k > 1 else []
+    dweight = np.zeros(wmat.shape, dtype=x.dtype)
+    for part in _each_image(n, one, *scratch):  # in image index order
+        dweight += part
     dbias = upstream.sum(axis=(0, 2, 3))
     return dx, dweight.reshape(p.weight.shape), dbias
 
@@ -237,10 +288,14 @@ def transposed_conv2d(x, p):
     wmat = p.weight.transpose(1, 0, 2, 3).reshape(cin, -1)
     bias = p.bias[:, None, None]
     out = np.empty((n, p.cout, 2 * h, 2 * w), dtype=x.dtype)
-    for i in range(n):
-        y = (wmat.T @ x[i].reshape(cin, -1)).reshape(p.cout, 4, h, w)
+
+    def one(i, y):
+        np.matmul(wmat.T, x[i].reshape(cin, -1), out=y)
+        taps = y.reshape(p.cout, 4, h, w)
         for t in range(4):  # tap (a, b) = divmod(t, 2)
-            np.add(y[:, t], bias, out=out[i, :, t // 2::2, t % 2::2])
+            np.add(taps[:, t], bias, out=out[i, :, t // 2::2, t % 2::2])
+
+    _each_image(n, one, partial(np.empty, (4 * p.cout, h * w), x.dtype))
     return out
 
 
@@ -255,12 +310,17 @@ def transposed_conv2d_vjp(x, p, upstream):
                          f"{x.dtype}, got {upstream.shape} {upstream.dtype}")
     rows = _shifted_rows(2 * h, 2 * w, 2, 2, 0)  # each tap is one whole phase
     wmat = p.weight.transpose(1, 0, 2, 3).reshape(cin, -1)
-    dweight = np.zeros(wmat.shape, dtype=x.dtype)
     dx = np.empty(x.shape, dtype=x.dtype)
-    for i in range(n):
-        cols = _patches(upstream[i], 2, 0, *rows)
+
+    def one(i, cols):
+        """Writes dx[i]; returns image i's weight gradient."""
+        cols = _patches(upstream[i], 2, 0, *rows, cols)
         np.matmul(wmat, cols, out=dx[i].reshape(cin, -1))
-        dweight += x[i].reshape(cin, -1) @ cols.T
+        return x[i].reshape(cin, -1) @ cols.T
+
+    dweight = np.zeros(wmat.shape, dtype=x.dtype)
+    for part in _each_image(n, one, partial(np.empty, (4 * p.cout, h * w), x.dtype)):
+        dweight += part  # in image index order
     dweight = dweight.reshape(cin, p.cout, 2, 2).transpose(1, 0, 2, 3)
     return dx, dweight, upstream.sum(axis=(0, 2, 3))
 
@@ -269,7 +329,7 @@ def nearest_upsample2x(x):
     """Replicate every pixel into a 2x2 block."""
     if not isinstance(x, np.ndarray) or x.ndim != 4:
         raise ShapeError("nearest_upsample2x input must be a rank-4 NCHW array")
-    return np.ascontiguousarray(x.repeat(2, axis=2).repeat(2, axis=3))
+    return x.repeat(2, axis=2).repeat(2, axis=3)
 
 
 def nearest_upsample2x_vjp(upstream):

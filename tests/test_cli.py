@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rfbs import cli, data, model, tensor
+from rfbs import cli, data, model, ops, tensor
 
 from conftest import corrupted
 
@@ -199,6 +199,18 @@ class TestTrain:
         log_lines = (tmp_path / "m.ckpt.log").read_text().strip().split("\n")
         assert any(l.startswith("step\t") for l in log_lines)
         assert any(l.startswith("epoch\t") for l in log_lines)
+
+    def test_outputs_independent_of_cpu_count(self, dataset_dir, tmp_path, monkeypatch):
+        digests = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(ops, "_usable_cpus", lambda: cpus)
+            out = tmp_path / f"cpus{cpus}.ckpt"
+            assert cli.main(["train", "--data", dataset_dir, "--out", str(out),
+                             "--epochs", "1", "--batch", "4", "--seed", "2"]) == 0
+            log = out.with_name(out.name + ".log")
+            digests.append([hashlib.sha256(f.read_bytes()).hexdigest()
+                            for f in (out, log)])
+        assert digests[0] == digests[1]
 
 
 class TestEval:

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -353,6 +356,109 @@ class TestTransposedConv:
         assert summed.tobytes() == dweight.tobytes()
 
 
+_ALL_CONV_CONFIGS = [("conv2d", c) for c in sorted(ops._CONV_CONFIGS)] + [
+    ("transposed_conv2d", c) for c in sorted(ops._TCONV_CONFIGS)]
+
+
+def conv_outputs(op, config, n, dtype, seed=70, cin=3, h=10, w=8):
+    """op's forward and its VJP's three gradients on a seeded batch of n."""
+    k, stride, pad = config
+    x = rand_f64((n, cin, h, w), seed=seed).astype(dtype)
+    p = conv_params(rand_f64((4, cin, k, k), seed=seed + 1).astype(dtype),
+                    rand_f64((4,), seed=seed + 2).astype(dtype), stride, pad)
+    y = getattr(ops, op)(x, p)
+    u = rand_f64(y.shape, seed=seed + 3).astype(dtype)
+    return [y, *getattr(ops, op + "_vjp")(x, p, u)]
+
+
+def wait_for_threads(count, timeout=5.0):
+    """True once threading.active_count() is back at `count`."""
+    deadline = time.monotonic() + timeout
+    while threading.active_count() != count and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return threading.active_count() == count
+
+
+class TestWorkerCount:
+    """The conv ops spread a batch's images over the usable CPUs; the bytes
+    they return must not depend on how many there are."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op, config", _ALL_CONV_CONFIGS,
+                             ids=lambda v: v if isinstance(v, str) else "k%ds%dp%d" % v)
+    def test_bytes_independent_of_cpu_count(self, op, config, dtype, monkeypatch):
+        for n in (1, 2, 3, 5):
+            monkeypatch.setattr(ops, "_usable_cpus", lambda: 1)
+            want = [a.tobytes() for a in conv_outputs(op, config, n, dtype)]
+            for cpus in (2, 3, 8):
+                monkeypatch.setattr(ops, "_usable_cpus", lambda: cpus)
+                got = [a.tobytes() for a in conv_outputs(op, config, n, dtype)]
+                assert got == want, (n, cpus)
+
+    def test_images_run_on_cpu_count_participants(self, monkeypatch):
+        # image i runs on participant i % W, and participant 0 is the caller;
+        # the barrier holds each participant's first image until all W run
+        patches, threads = ops._patches, {}
+        started = threading.Barrier(3, timeout=10)
+
+        def recording(x, *rest):
+            image = int(x[0, 0, 0])
+            if image < 3:
+                started.wait()
+            threads.setdefault(threading.get_ident(), []).append(image)
+            return patches(x, *rest)
+
+        monkeypatch.setattr(ops, "_patches", recording)
+        monkeypatch.setattr(ops, "_usable_cpus", lambda: 3)
+        x = np.arange(5, dtype=np.float64)[:, None, None, None] * np.ones((5, 2, 6, 6))
+        ops.conv2d(x, conv_params(np.ones((1, 2, 3, 3)), np.zeros(1), 1, 1))
+        assert threads.pop(threading.get_ident()) == [0, 3]
+        assert sorted(threads.values()) == [[1, 4], [2]]
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_small_batch_starts_no_thread(self, n, monkeypatch):
+        def no_affinity_call():
+            raise AssertionError("asked for the CPU count")
+
+        monkeypatch.setattr(ops, "_usable_cpus", no_affinity_call)
+        before = threading.active_count()
+        for op, config in _ALL_CONV_CONFIGS:
+            assert conv_outputs(op, config, n, np.float64)[0].shape[0] == n
+        assert threading.active_count() == before
+
+    def test_oversubscribed_with_fast_switching(self, monkeypatch):
+        # 8 participants on fewer cores, switching threads every microsecond
+        monkeypatch.setattr(ops, "_usable_cpus", lambda: 1)
+        want = [[a.tobytes() for a in conv_outputs(op, c, 16, np.float32)]
+                for op, c in _ALL_CONV_CONFIGS]
+        monkeypatch.setattr(ops, "_usable_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [[a.tobytes() for a in conv_outputs(op, c, 16, np.float32)]
+                   for op, c in _ALL_CONV_CONFIGS]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_error_in_any_image_propagates(self, failing, monkeypatch):
+        patches = ops._patches
+
+        def failing_patches(x, *rest):
+            if x[0, 0, 0] == failing:
+                raise RuntimeError(f"patches of image {failing}")
+            return patches(x, *rest)
+
+        monkeypatch.setattr(ops, "_patches", failing_patches)
+        monkeypatch.setattr(ops, "_usable_cpus", lambda: 2)
+        x = np.arange(4, dtype=np.float64)[:, None, None, None] * np.ones((4, 2, 6, 6))
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"image {failing}"):
+            ops.conv2d(x, conv_params(np.ones((1, 2, 3, 3)), np.zeros(1), 1, 1))
+        assert wait_for_threads(before)
+
+
 class TestUpsample:
     def test_single_pixel(self):
         y = ops.nearest_upsample2x(tensor.from_values([1, 1, 1, 1], [1.0]))
@@ -367,6 +473,13 @@ class TestUpsample:
             [3, 3, 4, 4],
         ]
         assert y[0, 0].tolist() == expect
+
+    def test_output_is_a_fresh_c_contiguous_array(self):
+        x = rand_f64((2, 3, 5, 4), seed=64).transpose(0, 1, 3, 2)  # not contiguous
+        y = ops.nearest_upsample2x(x)
+        assert y.flags.c_contiguous and not np.shares_memory(x, y)
+        want = np.ascontiguousarray(x.repeat(2, axis=2).repeat(2, axis=3))
+        assert y.tobytes() == want.tobytes()
 
     def test_vjp_block_sums(self):
         up = tensor.from_values([1, 1, 2, 2], [1, 2, 3, 4])

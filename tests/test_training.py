@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from rfbs import data, ops, training
+from rfbs import data, model, ops, training
 from rfbs.errors import NumericsError, ShapeError
 from rfbs.model import ParameterStore
 
@@ -215,6 +215,24 @@ class TestTrain:
         ds = tiny_dataset(n=20, size=32)  # 16 train samples: 4 steps at batch 4
         training.train(desk_spec, ds, training.TrainConfig(batch_size=4, epochs=1, seed=1))
         assert len(tapes) == 4 and live == [0] * len(live)
+
+    def test_step_bytes_independent_of_cpu_count(self, desk_spec, monkeypatch):
+        # the conv ops spread the batch over the CPUs; loss, parameters and
+        # Adam moments must come out the same at any count
+        samples = tiny_dataset(n=8, size=32, fraction=0.5).samples
+        images = np.stack([s.image for s in samples])
+        masks = np.stack([s.mask for s in samples])
+        cfg = training.TrainConfig(batch_size=8, seed=1)
+        runs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(ops, "_usable_cpus", lambda: cpus)
+            params = model.init_params(desk_spec, seed=7)
+            state = training.AdamState(params)
+            losses = [training.train_step(desk_spec, params, state, images, masks,
+                                          1e-3, cfg) for _ in range(2)]
+            runs.append((losses, *([a.tobytes() for a in d.values()]
+                                   for d in (params, state.m, state.v))))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
     def test_requires_both_splits(self, desk_spec):
         ds = data.generate_phantoms(4, 64, seed=0)  # all train, no val
