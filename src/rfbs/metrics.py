@@ -32,7 +32,7 @@ class ConfusionCounts:
 def _as_binary(a, name):
     if not isinstance(a, np.ndarray):
         raise ShapeError(f"{name} must be a numpy array")
-    if not np.isin(a, (0, 1)).all():
+    if not ((a == 0) | (a == 1)).all():
         raise ShapeError(f"{name} must contain only 0/1 values")
     return a != 0
 
@@ -67,10 +67,13 @@ def iou(c):
 
 
 def argmax_mask(prob, foreground_class):
-    """Binary (N, H, W) mask: 1 where the foreground class strictly wins.
+    """Binary (N, H, W) mask: 1 where the foreground class wins the argmax.
 
-    Ties go to the lower class index, so tied pixels are background whenever
-    a lower-indexed class is involved.
+    Same winner as prob.argmax(axis=1): ties go to the lower class index,
+    so tied pixels are background whenever a lower-indexed class is
+    involved, and a NaN beats every number, the first NaN winning. The
+    channel planes are compared directly, which is much faster than numpy's
+    argmax over the strided channel axis.
     """
     if not isinstance(prob, np.ndarray) or prob.ndim != 4:
         raise ShapeError("argmax_mask expects an NCHW probability map")
@@ -78,8 +81,16 @@ def argmax_mask(prob, foreground_class):
         raise ShapeError(
             f"foreground class {foreground_class} out of range 0..{prob.shape[1] - 1}"
         )
-    winner = prob.argmax(axis=1)  # first max wins ties
-    return (winner == foreground_class).astype(np.float32)
+    fg = prob[:, foreground_class]
+    fg_nan = fg != fg
+    wins = np.ones(fg.shape, dtype=bool)
+    for c in range(prob.shape[1]):
+        other = prob[:, c]
+        if c < foreground_class:  # must lose strictly, and a NaN of its own wins
+            wins &= (other < fg) | (fg_nan & (other == other))
+        elif c > foreground_class:  # may tie, and loses to a NaN foreground
+            wins &= (other <= fg) | fg_nan
+    return wins.astype(np.float32)
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,15 @@ The desk topology instantiates the four-module design at fixed widths:
                 background), per-pixel softmax
 
 Spatial extents must be multiples of 16 so the additive skips line up.
+Nearest upsampling commutes exactly with the per-pixel conv and softmax, so
+forward runs the classifier's conv and softmax at H/2 and upsamples only the
+2-channel probabilities; the graph, its hash and its FLOP counts still
+describe the head as written above (see forward).
 """
 
 import struct
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,13 +214,16 @@ def _conv_params(node, params):
 
 @dataclass
 class Tape:
-    """What backward needs from one forward: each node's pullback, which
-    holds exactly the activations that node's VJP reads (see _run_node), the
-    parameters, and the shape of the input and of every node."""
+    """What backward needs from one forward: its steps in execution order,
+    each (node, the value whose gradient its pullback takes, the values its
+    input gradients go to, pullback), where a pullback holds exactly the
+    activations that node's VJP reads (see _run_node); the parameters; and
+    the shape of the input and of every node as the graph defines it.
+    backward consumes the steps and leaves None."""
 
     spec: ArchitectureSpec
     params: ParameterStore
-    pullbacks: list
+    steps: list
     shapes: dict
 
 
@@ -270,16 +278,49 @@ def _run_node(node, params, ins):
 _SCANNED_KINDS = {"conv", "tconv", "add", "softmax"}
 
 
+def _per_pixel(node):
+    """Whether a node maps each pixel's channels on their own (relu, softmax,
+    conv k1 s1 p0), so that it commutes exactly with nearest upsampling."""
+    return node.kind in ("relu", "softmax") or (
+        node.kind == "conv" and (node.kernel, node.stride, node.padding) == (1, 1, 0))
+
+
+def _deferred_upsample(spec):
+    """(upsample node, the nodes after it, in order) when an upsample_nearest
+    node reaches the output only through per-pixel nodes, each read by the
+    next alone; else (None, ())."""
+    readers = Counter(s for node in spec.nodes for s in node.inputs)
+    nodes = {node.name: node for node in spec.nodes}
+    chain, name = [], spec.output_name
+    while name in nodes and readers[name] == (1 if chain else 0):
+        node = nodes[name]
+        if node.kind == "upsample_nearest":
+            return (node, chain[::-1]) if chain else (None, ())
+        if not _per_pixel(node):
+            break
+        chain.append(node)
+        name = node.inputs[0]
+    return None, ()
+
+
 def forward(spec, params, x, keep_intermediates=False):
     """Run the graph; returns (probability map, tape).
 
     Each activation is released after the last node that reads it; with
     keep_intermediates the tape holds every node's pullback, which keeps
     only what that node's VJP reads (see _run_node), and every node's shape.
-    Without keep_intermediates the tape is None. A non-finite value is
-    reported by the name of the node it first shows in (the first node, for
-    a non-finite input), and a node's ShapeError or UnsupportedConfigError
-    is prefixed with the node's name.
+    Without keep_intermediates the tape is None.
+
+    An upsample_nearest node that reaches the output only through per-pixel
+    nodes, each read by the next alone, runs last: those nodes run on its
+    input, at half the size, and it upsamples their output. That gives the
+    same bits for a quarter of their work and memory. In the desk network
+    head_conv and probs run at H/2 and only the 2-channel probabilities are
+    upsampled. Tape.shapes still holds the shapes the graph defines.
+
+    A non-finite value is reported by the name of the node it first shows in
+    (the first node, for a non-finite input), and a node's ShapeError or
+    UnsupportedConfigError is prefixed with the node's name.
     """
     if not isinstance(x, np.ndarray) or x.ndim != 4:
         raise ShapeError("forward input must be a rank-4 NCHW array")
@@ -296,57 +337,91 @@ def forward(spec, params, x, keep_intermediates=False):
         raise NumericsError(
             f"non-finite input {spec.input_name!r} to node {spec.nodes[0].name!r}"
         )
-    values = {spec.input_name: x}
-    shapes = {spec.input_name: x.shape}
-    pullbacks = []
-    last_use = {s: i for i, node in enumerate(spec.nodes) for s in node.inputs}
-    for i, node in enumerate(spec.nodes):
+
+    def run(node, ins):
         try:
-            out, pullback = _run_node(node, params, [values[s] for s in node.inputs])
+            return _run_node(node, params, ins)
         except (ShapeError, UnsupportedConfigError) as e:
             raise type(e)(f"node {node.name!r}: {e}") from None
-        if node.kind in _SCANNED_KINDS and not np.isfinite(out).all():
-            raise NumericsError(f"non-finite activation in node {node.name!r}")
-        if keep_intermediates:
-            pullbacks.append(pullback)
-        del pullback  # without a tape, what it holds must not outlive the node
+
+    up, chain = _deferred_upsample(spec)
+    # gradients for the deferred upsample's output go to its input
+    alias = {up.name: up.inputs[0]} if up else {}
+    values = {spec.input_name: x}
+    shapes = {spec.input_name: x.shape}
+    steps = []
+    last_use = {s: i for i, node in enumerate(spec.nodes) for s in node.inputs}
+    for i, node in enumerate(spec.nodes):
+        if node is up:  # runs last; until then its input stands in for it
+            out = values[node.inputs[0]]
+        else:
+            out, pullback = run(node, [values[s] for s in node.inputs])
+            if node.kind in _SCANNED_KINDS and not np.isfinite(out).all():
+                raise NumericsError(f"non-finite activation in node {node.name!r}")
+            if keep_intermediates:
+                sources = tuple(alias.get(s, s) for s in node.inputs)
+                steps.append((node, node.name, sources, pullback))
+            del pullback  # without a tape, what it holds must not outlive the node
         values[node.name] = out
         shapes[node.name] = out.shape
         for s in node.inputs:  # drop what no later node reads
             if last_use[s] == i:
                 values.pop(s, None)
     y = values[spec.output_name]
+    if up is not None:
+        y, pullback = run(up, [y])
+        # a non-finite value here would have shown in the chain's first
+        # scanned node had the upsample run in graph order
+        scanned = [node.name for node in chain if node.kind in _SCANNED_KINDS]
+        if scanned and not np.isfinite(y).all():
+            raise NumericsError(f"non-finite activation in node {scanned[0]!r}")
+        if keep_intermediates:  # its gradient goes to the chain's own output
+            steps.append((up, spec.output_name, (spec.output_name,), pullback))
+        for node in (up, *chain):
+            shapes[node.name] = shapes[node.name][:2] + y.shape[2:]
     if keep_intermediates:
-        return y, Tape(spec, params, pullbacks, shapes)
+        return y, Tape(spec, params, steps, shapes)
     return y, None
 
 
 def backward(tape, loss_grad):
     """Gradients for every parameter given d(loss)/d(output).
 
-    Runs the tape's pullbacks in reverse node order; what each reads is
-    decided where forward made it, in _run_node. Skip connections
-    accumulate gradients from all consumers; concat splits the upstream
-    back onto its operands.
+    Runs the tape's steps in reverse; what each pullback reads is decided
+    where forward made it, in _run_node. Skip connections accumulate
+    gradients from all consumers; concat splits the upstream back onto its
+    operands. After a deferred upsample (see forward) the first step is its
+    VJP, which sums each 2x2 block of loss_grad; the per-pixel VJPs that
+    follow are linear in their upstream and read activations that are
+    constant over each block, so at half the size they give the same
+    gradients up to rounding.
+
+    backward consumes the tape: it drops each pullback once it has run, so
+    each saved activation is freed after its last read, and a second
+    backward on the same tape raises ShapeError.
     """
     if tape is None:
         raise ShapeError("backward needs a tape from forward(keep_intermediates=True)")
+    if tape.steps is None:
+        raise ShapeError("backward already consumed this tape; run forward again")
     spec = tape.spec
     out_shape = tape.shapes[spec.output_name]
     if loss_grad.shape != out_shape:
         raise ShapeError(
             f"loss_grad shape {loss_grad.shape} != output shape {out_shape}"
         )
+    steps, tape.steps = tape.steps, None
     upstream = {spec.output_name: loss_grad}
     param_grads = {}
-    for node, pullback in zip(reversed(spec.nodes), reversed(tape.pullbacks)):
-        up = upstream.pop(node.name, None)
+    while steps:
+        node, name, sources, pullback = steps.pop()
+        up = upstream.pop(name, None)
         if up is None:
             continue
         grads = pullback(up)
-        for target, grad in zip(node.inputs, grads):
+        for target, grad in zip(sources, grads):
             upstream[target] = upstream[target] + grad if target in upstream else grad
-        for suffix, grad in zip((".weight", ".bias"), grads[len(node.inputs):]):
+        for suffix, grad in zip((".weight", ".bias"), grads[len(sources):]):
             param_grads[node.name + suffix] = grad
     return {name: param_grads[name] if name in param_grads else np.zeros_like(value)
             for name, value in tape.params.items()}

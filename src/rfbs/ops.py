@@ -221,7 +221,7 @@ def conv2d_vjp(x, p, upstream):
         cols = _patches(x[i], s, pad, hq, wq, span, taps, cols)
         # zero upstream on the columns conv2d drops
         up = _channel_major(upstream[i], 0, hq, wq).reshape(p.cout, -1)[:, :span]
-        dweight = up @ cols.T
+        dweight = (cols @ up.T).T
         if k == 1:  # s1 p0: the GEMM's output is dx[i] itself
             np.matmul(wmat.T, up, out=dx[i].reshape(cin, -1))
             return dweight
@@ -316,7 +316,7 @@ def transposed_conv2d_vjp(x, p, upstream):
         """Writes dx[i]; returns image i's weight gradient."""
         cols = _patches(upstream[i], 2, 0, *rows, cols)
         np.matmul(wmat, cols, out=dx[i].reshape(cin, -1))
-        return x[i].reshape(cin, -1) @ cols.T
+        return (cols @ x[i].reshape(cin, -1).T).T
 
     dweight = np.zeros(wmat.shape, dtype=x.dtype)
     for part in _each_image(n, one, partial(np.empty, (4 * p.cout, h * w), x.dtype)):

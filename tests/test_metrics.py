@@ -133,6 +133,22 @@ class TestArgmaxMask:
         with pytest.raises(ShapeError):
             metrics.argmax_mask(np.zeros((1, 2, 2, 2), np.float32), 2)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), channels=st.integers(1, 4), dtype=st.sampled_from(
+        [np.float32, np.float64]))
+    def test_agrees_with_numpy_argmax(self, data, channels, dtype):
+        # a few values, so ties are common; NaN and +-inf included
+        values = st.sampled_from([0.0, 0.25, 0.5, 1.0, -1.0, np.inf, -np.inf, np.nan])
+        n, h, w = (data.draw(st.integers(1, 3)) for _ in range(3))
+        prob = np.array(data.draw(st.lists(values, min_size=n * channels * h * w,
+                                           max_size=n * channels * h * w)),
+                        dtype=dtype).reshape(n, channels, h, w)
+        fg = data.draw(st.integers(0, channels - 1))
+        want = (prob.argmax(axis=1) == fg).astype(np.float32)
+        got = metrics.argmax_mask(prob, fg)
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+
 
 class TestAggregate:
     def _result(self, image_id, d, i):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from rfbs import model, ops
 from rfbs.errors import FormatError, NumericsError, ShapeError
 
-from conftest import corrupted, join_spec, rand_f32
+from conftest import corrupted, join_spec, rand_f32, rand_f64
 
 
 class TestBuild:
@@ -180,7 +180,9 @@ class TestForward:
 
     def test_tape_keeps_what_backward_reads(self, desk_spec, desk_params, monkeypatch):
         # the pullbacks hold relu and softmax outputs and conv inputs; every
-        # other node output is gone once forward returns
+        # other node output is gone once forward returns. The head runs at
+        # H/2, so head_conv holds fuse_b and probs is kept at H/2, while
+        # Tape.shapes keeps the shapes the graph defines.
         run_node, outs = model._run_node, {}
 
         def tracking(node, params, ins):
@@ -190,13 +192,17 @@ class TestForward:
 
         monkeypatch.setattr(model, "_run_node", tracking)
         x = rand_f32((2, 1, 32, 32), seed=76)
-        _, tape = model.forward(desk_spec, desk_params, x, keep_intermediates=True)
+        tape = model.forward(desk_spec, desk_params, x, keep_intermediates=True)[1]
         gc.collect()
         live = {name: ref() for name, ref in outs.items() if ref() is not None}
         relus = [n.name for n in desk_spec.nodes if n.kind == "relu"]
         assert len(relus) == 10
-        assert set(live) == {*relus, "d1_add", "d2_add", "head_up", "probs"}
-        assert all(tape.shapes[name] == v.shape for name, v in live.items())
+        assert set(live) == {*relus, "d1_add", "d2_add", "fuse_b", "probs"}
+        assert live["probs"].shape == (2, 2, 16, 16)
+        assert tape.shapes["probs"] == (2, 2, 32, 32)
+        assert tape.shapes["head_up"] == (2, 16, 32, 32)
+        assert all(tape.shapes[name] == v.shape for name, v in live.items()
+                   if name != "probs")
         assert list(tape.shapes) == ["image"] + [n.name for n in desk_spec.nodes]
 
 
@@ -287,8 +293,9 @@ class TestBackward:
 
     def test_calls_each_vjp_through_ops_in_reverse_node_order(self, desk_spec,
                                                               desk_params, monkeypatch):
-        # benchmark/layers.attribute maps traced ops.*_vjp calls to nodes by
-        # this order, so each VJP is looked up in ops when backward runs
+        # benchmark/layers.attribute maps the i-th traced call of each
+        # ops.*_vjp to the i-th node of its kind in reverse node order, so
+        # each VJP is looked up in ops when backward runs, once per node
         vjps = {"conv": "conv2d_vjp", "tconv": "transposed_conv2d_vjp",
                 "maxpool": "maxpool2x2_vjp", "relu": "relu_vjp",
                 "upsample_nearest": "nearest_upsample2x_vjp",
@@ -297,22 +304,130 @@ class TestBackward:
         y, tape = model.forward(desk_spec, desk_params, x, keep_intermediates=True)
         up = rand_f32(y.shape, seed=85)
         want = model.backward(tape, up)
-        calls = []
+        calls, running = [], []
+        run_node = model._run_node
+
+        def naming(node, params, ins):  # which node's pullback is running
+            out, pullback = run_node(node, params, ins)
+
+            def named(upstream):
+                running.append(node.name)
+                return pullback(upstream)
+            return out, named
 
         def recorder(fn):
             orig = getattr(ops, fn)
 
             def record(*args):
-                calls.append(fn)
+                calls.append((fn, running[-1]))
                 return orig(*args)
             return record
 
+        monkeypatch.setattr(model, "_run_node", naming)
         for fn in vjps.values():
             monkeypatch.setattr(ops, fn, recorder(fn))
+        _, tape = model.forward(desk_spec, desk_params, x, keep_intermediates=True)
         got = model.backward(tape, up)
-        expect = [vjps[n.kind] for n in reversed(desk_spec.nodes) if n.kind in vjps]
-        assert calls == expect
-        assert [calls.count(fn) for fn in vjps.values()] == [11, 3, 1, 10, 1, 1]
+        for fn in vjps.values():
+            expect = [n.name for n in reversed(desk_spec.nodes) if vjps.get(n.kind) == fn]
+            assert [name for f, name in calls if f == fn] == expect, fn
+        assert [[f for f, _ in calls].count(fn) for fn in vjps.values()] == [11, 3, 1, 10, 1, 1]
+        assert all(got[name].tobytes() == g.tobytes() for name, g in want.items())
+
+    def test_second_backward_on_a_tape_raises(self, desk_spec, desk_params):
+        x = rand_f32((1, 1, 32, 32), seed=86)
+        y, tape = model.forward(desk_spec, desk_params, x, keep_intermediates=True)
+        with pytest.raises(ShapeError):  # a wrong loss_grad leaves the tape usable
+            model.backward(tape, np.zeros((1, 2, 16, 16), np.float32))
+        model.backward(tape, np.ones_like(y))
+        with pytest.raises(ShapeError, match="already consumed"):
+            model.backward(tape, np.ones_like(y))
+
+
+def _trunk(spec):
+    """The desk graph cut before the classifier head; its output is fuse_b."""
+    cut = spec.nodes.index(spec.node("head_up"))
+    return dataclasses.replace(spec, output_name="fuse_b", nodes=spec.nodes[:cut])
+
+
+def _explicit_head(spec, params, fuse_b):
+    """The classifier head as the graph states it: upsample, then the
+    pointwise conv and the softmax at full size."""
+    p = model._conv_params(spec.node("head_conv"), params)
+    return ops.softmax_channels(ops.conv2d(ops.nearest_upsample2x(fuse_b), p))
+
+
+class TestDeferredHead:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", [32, 64, 256])
+    @pytest.mark.parametrize("batch", [0, 1, 2, 8])
+    def test_forward_matches_the_explicit_chain(self, desk_spec, size, batch, dtype):
+        params = model.init_params(desk_spec, seed=42, dtype=dtype)
+        x = rand_f64((batch, 1, size, size), seed=size + batch, lo=0.0, hi=1.0)
+        x = x.astype(dtype)
+        y, _ = model.forward(desk_spec, params, x)
+        fuse_b, _ = model.forward(_trunk(desk_spec), params, x)
+        want = _explicit_head(desk_spec, params, fuse_b)
+        assert y.shape == want.shape == (batch, 2, size, size)
+        assert y.dtype == want.dtype
+        assert y.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype, rel", [(np.float32, 1e-5), (np.float64, 1e-13)])
+    def test_gradients_match_the_explicit_chain(self, desk_spec, dtype, rel):
+        # the head's VJPs at H/2 after one upsample VJP equal the full-size
+        # VJP chain up to rounding
+        params = model.init_params(desk_spec, seed=42, dtype=dtype)
+        x = rand_f64((2, 1, 64, 64), seed=87, lo=0.0, hi=1.0).astype(dtype)
+        up = rand_f64((2, 2, 64, 64), seed=88).astype(dtype)
+        _, tape = model.forward(desk_spec, params, x, keep_intermediates=True)
+        got = model.backward(tape, up)
+        fuse_b, trunk_tape = model.forward(_trunk(desk_spec), params, x,
+                                           keep_intermediates=True)
+        p = model._conv_params(desk_spec.node("head_conv"), params)
+        wide = ops.nearest_upsample2x(fuse_b)
+        probs = ops.softmax_channels(ops.conv2d(wide, p))
+        dwide, dweight, dbias = ops.conv2d_vjp(wide, p, ops.softmax_channels_vjp(probs, up))
+        dfuse = ops.nearest_upsample2x_vjp(dwide)
+        for name, want in (("head_conv.weight", dweight), ("head_conv.bias", dbias)):
+            assert np.abs(got[name] - want).max() <= rel * np.abs(want).max(), name
+        # everything below the head follows from fuse_b's gradient
+        below = model.backward(trunk_tape, dfuse)
+        for name, want in below.items():
+            if not name.startswith("head_conv"):
+                assert np.abs(got[name] - want).max() <= rel * np.abs(want).max(), name
+
+    @pytest.mark.parametrize("kernel, side_reader", [(3, False), (1, True)])
+    def test_upsample_runs_in_graph_order_unless_deferrable(self, kernel, side_reader):
+        # a k3 conv reads neighbouring pixels, and a second reader needs the
+        # upsampled values, so neither upsample is deferred: outputs and
+        # gradients equal the explicit op chain bit for bit
+        side = (model.LayerNode("side", "relu", ("up",)),) if side_reader else ()
+        spec = model.ArchitectureSpec(
+            arch_id="head", input_name="x", output_name="probs",
+            in_channels=2, num_classes=2, total_downsampling_factor=1,
+            nodes=(
+                model.LayerNode("a", "conv", ("x",), 2, 3, 1, 1, 0),
+                model.LayerNode("up", "upsample_nearest", ("a",)),
+                *side,
+                model.LayerNode("b", "conv", ("up",), 3, 2, kernel, 1, kernel // 2),
+                model.LayerNode("probs", "softmax", ("b",)),
+            ),
+        )
+        params = model.init_params(spec, seed=5, dtype=np.float64)
+        x = rand_f64((2, 2, 6, 6), seed=89)
+        upstream = rand_f64((2, 2, 12, 12), seed=90)
+        pa, pb = (model._conv_params(spec.node(name), params) for name in "ab")
+        wide = ops.nearest_upsample2x(ops.conv2d(x, pa))
+        probs = ops.softmax_channels(ops.conv2d(wide, pb))
+        y, tape = model.forward(spec, params, x, keep_intermediates=True)
+        assert y.tobytes() == probs.tobytes()
+        assert tape.shapes == {"x": (2, 2, 6, 6), "a": (2, 3, 6, 6), "up": (2, 3, 12, 12),
+                               **({"side": (2, 3, 12, 12)} if side_reader else {}),
+                               "b": (2, 2, 12, 12), "probs": (2, 2, 12, 12)}
+        got = model.backward(tape, upstream)
+        dwide, db_w, db_b = ops.conv2d_vjp(wide, pb, ops.softmax_channels_vjp(probs, upstream))
+        _, da_w, da_b = ops.conv2d_vjp(x, pa, ops.nearest_upsample2x_vjp(dwide))
+        want = {"a.weight": da_w, "a.bias": da_b, "b.weight": db_w, "b.bias": db_b}
         assert all(got[name].tobytes() == g.tobytes() for name, g in want.items())
 
 
