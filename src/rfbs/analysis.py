@@ -20,14 +20,14 @@ FLOP_CONVENTION = "MAC=2, bias adds included, per-image (N=1)"
 class NodeCost:
     name: str
     kind: str
-    out_shape: tuple  # None in a params-only report
+    out_shape: tuple
     params: int
     flops: int
 
 
 @dataclass(frozen=True)
 class CostReport:
-    input_shape: tuple  # None in a params-only report
+    input_shape: tuple
     nodes: tuple
 
     @property
@@ -45,12 +45,10 @@ def node_params(node):
 
 
 def count_params(spec):
-    """Parameter counts only; FLOPs and shapes are left unset."""
-    nodes = tuple(
-        NodeCost(name=n.name, kind=n.kind, out_shape=None, params=node_params(n), flops=0)
-        for n in spec.nodes
-    )
-    return CostReport(input_shape=None, nodes=nodes)
+    """count_flops at an m x m input, m = spec.total_downsampling_factor: a
+    node's parameter count does not depend on the input size."""
+    m = spec.total_downsampling_factor
+    return count_flops(spec, (1, spec.in_channels, m, m))
 
 
 def _node_flops(node, out_shape):
@@ -88,7 +86,7 @@ def count_flops(spec, input_shape):
 
 
 def _shape_str(shape):
-    return "x".join(str(d) for d in shape) if shape else "-"
+    return "x".join(str(d) for d in shape)
 
 
 def format_table(report):
@@ -104,10 +102,11 @@ def format_table(report):
     widths = [
         max(len(header[i]), max(len(r[i]) for r in rows)) for i in range(5)
     ]
-    lines = [f"# flop convention: {FLOP_CONVENTION}"]
-    if report.input_shape:
-        lines.append(f"# input: {_shape_str(report.input_shape)}")
-    lines.append("  ".join(h.ljust(widths[i]) for i, h in enumerate(header)))
+    lines = [
+        f"# flop convention: {FLOP_CONVENTION}",
+        f"# input: {_shape_str(report.input_shape)}",
+        "  ".join(h.ljust(widths[i]) for i, h in enumerate(header)),
+    ]
     for row in rows:
         lines.append("  ".join(v.ljust(widths[i]) for i, v in enumerate(row)))
     return "\n".join(lines) + "\n"

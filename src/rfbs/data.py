@@ -84,6 +84,12 @@ class Dataset:
         return [s for s, p in zip(self.samples, self.splits) if p == split]
 
 
+def is_binary_mask(a):
+    """Whether the array `a` is a mask: every element is exactly 0 or 1.
+    -0.0 is 0; NaN, +-inf and every other value make `a` no mask."""
+    return ((a == 0) | (a == 1)).all()
+
+
 # -- PGM (P5, maxval 255) ---------------------------------------------------
 
 
@@ -284,7 +290,7 @@ def load_dataset(directory):
         image, mask = (read_pgm(p) for p in paths)
         if image.shape != mask.shape:
             raise FormatError(f"sample {sid}: image/mask size mismatch")
-        if not np.isin(mask, (0.0, 1.0)).all():
+        if not is_binary_mask(mask):
             raise FormatError(f"sample {sid}: mask is not binary")
         samples.append(Sample(id=sid, image=image[None, :, :], mask=mask))
         splits.append(part)

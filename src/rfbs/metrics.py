@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import is_binary_mask
 from .errors import ShapeError
 
 
@@ -32,7 +33,7 @@ class ConfusionCounts:
 def _as_binary(a, name):
     if not isinstance(a, np.ndarray):
         raise ShapeError(f"{name} must be a numpy array")
-    if not ((a == 0) | (a == 1)).all():
+    if not is_binary_mask(a):
         raise ShapeError(f"{name} must contain only 0/1 values")
     return a != 0
 

@@ -170,12 +170,9 @@ def _each_image(n, fn, *scratch):
     if workers < 2:
         return share(0) if workers else []
     with ThreadPoolExecutor(workers - 1) as pool:
-        futures = [pool.submit(share, j) for j in range(1, workers)]
-        try:
-            own = share(0)
-        finally:  # wait for every image, and raise any participant's error
-            others = [f.result() for f in futures]
-    shares = [own, *others]
+        # map submits every share at once; leaving the block waits for them
+        others = pool.map(share, range(1, workers))
+        shares = [share(0), *others]
     return [shares[i % workers][i // workers] for i in range(n)]
 
 

@@ -1,8 +1,9 @@
-"""Dense tensor values and the RFT1 binary tensor format.
+"""The tensor checks, the sequential sum and the RFT1 binary tensor format.
 
-A tensor is a C-contiguous numpy array of dtype float32 or float64 with rank
-1..4; rank-4 arrays are laid out NCHW. Every function here is pure: inputs
-are never mutated and identical inputs produce bit-identical outputs.
+A tensor is a numpy array of dtype float32 or float64 with rank 1..4; rank-4
+arrays are laid out NCHW. `as_tensor` and `check_shape` enforce that; the
+engine builds its arrays with numpy directly. Every function here is pure:
+inputs are never mutated and identical inputs produce bit-identical outputs.
 
 RFT1 layout (little-endian): magic "RFT1", 1 byte dtype code (0=f32, 1=f64),
 1 byte rank (1..4), rank u32 extents, then row-major element data. No padding
@@ -15,9 +16,6 @@ import struct
 import numpy as np
 
 from .errors import FormatError, ShapeError
-
-F32 = np.float32
-F64 = np.float64
 
 # Extents are serialized as u32; stay well inside that (and addressable RAM).
 MAX_EXTENT = 2**31 - 1
@@ -49,25 +47,6 @@ def as_tensor(a, name="tensor"):
         raise ShapeError(f"{name} dtype must be float32 or float64, got {a.dtype}")
     check_shape(a.shape)
     return a
-
-
-def zeros(shape, dtype=F32):
-    dims = check_shape(shape)
-    if np.dtype(dtype) not in _DTYPE_CODE:
-        raise ShapeError(f"dtype must be float32 or float64, got {dtype}")
-    return np.zeros(dims, dtype=dtype)
-
-
-def from_values(shape, values, dtype=F32):
-    """Build a tensor from a flat row-major value sequence."""
-    dims = check_shape(shape)
-    flat = np.asarray(values, dtype=dtype).ravel()
-    n = int(np.prod(dims))
-    if flat.size != n:
-        raise ShapeError(f"expected {n} values for shape {dims}, got {flat.size}")
-    if not np.isfinite(flat).all():
-        raise ShapeError("values must be finite")
-    return flat.reshape(dims).copy()
 
 
 def reduce_sum(a):

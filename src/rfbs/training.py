@@ -14,7 +14,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import metrics
-from .data import Prng, batches
+from .data import Prng, batches, is_binary_mask
 from .errors import NumericsError, ShapeError
 from .model import backward, forward, init_params
 from .tensor import reduce_sum
@@ -60,9 +60,11 @@ def soft_dice_loss(prob, target, smooth=1.0):
         raise ShapeError(
             f"target shape {target.shape} does not match prob {prob.shape}"
         )
-    if not np.isin(target, (0, 1)).all():
+    if not is_binary_mask(target):
         raise ShapeError("target mask must be binary")
     n = prob.shape[0]
+    if n == 0:
+        raise ShapeError("soft Dice of an empty batch")
     dprob = np.zeros_like(prob)
     total = 0.0
     for i in range(n):

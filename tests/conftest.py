@@ -46,6 +46,11 @@ def corrupted(fuzz, blob):
     return out + fuzz.draw(st.binary(max_size=8))
 
 
+def from_values(shape, values, dtype=np.float32):
+    """A tensor of `shape` holding `values` in row-major order."""
+    return np.array(values, dtype=dtype).reshape(shape)
+
+
 def rand_f32(shape, seed):
     from rfbs.data import Prng
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from rfbs import data
+from rfbs import data, metrics, training
 from rfbs.errors import FormatError, ShapeError
 
 from conftest import corrupted
@@ -271,6 +271,45 @@ class TestDatasetIo:
         with pytest.raises(FormatError, match="line 7: sample 'p0000' is already "
                                               "listed on line 1"):
             data.load_dataset(tmp_path)
+
+
+class TestBinaryMask:
+    """data.is_binary_mask is the one rule: the loader, the soft Dice and the
+    confusion counts refuse and accept the same masks."""
+
+    @pytest.mark.parametrize("value, is_mask", [
+        (-0.0, True), (0.5, False), (2.0, False),
+        (np.nan, False), (np.inf, False), (-np.inf, False),
+    ])
+    def test_one_rule(self, tmp_path, monkeypatch, value, is_mask):
+        data.save_dataset(tmp_path, data.generate_phantoms(1, 64, seed=3))
+        read_pgm = data.read_pgm
+
+        def read_with_value(path):  # PGM holds only n/255, so set the pixel here
+            img = read_pgm(path)
+            if "mask_" in str(path):
+                img[0, 0] = value
+            return img
+
+        monkeypatch.setattr(data, "read_pgm", read_with_value)
+        eye = np.eye(4, dtype=np.float32)
+        mask = eye.copy()
+        mask[0, 1] = value
+        uses = [
+            (FormatError, lambda: data.load_dataset(tmp_path)),
+            (ShapeError, lambda: training.soft_dice_loss(
+                np.full((1, 2, 4, 4), 0.5, np.float32), mask[None])),
+            (ShapeError, lambda: metrics.confusion(mask, eye)),
+            (ShapeError, lambda: metrics.confusion(eye, mask)),
+        ]
+        for error, use in uses:
+            if is_mask:
+                use()
+            else:
+                with pytest.raises(error, match="binary|0/1"):
+                    use()
+        if is_mask:
+            assert metrics.confusion(mask, eye) == metrics.ConfusionCounts(4, 0, 0, 12)
 
 
 @pytest.fixture(scope="module")

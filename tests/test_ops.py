@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfbs import ops, tensor
+from rfbs import ops
 from rfbs.errors import ShapeError, UnsupportedConfigError
 
-from conftest import rand_f32, rand_f64
+from conftest import from_values, rand_f32, rand_f64
 
 
 def conv_params(weight, bias, stride=1, padding=0):
@@ -50,7 +50,7 @@ class TestConv2d:
         assert ops.conv2d(x, p).item() == 11.0
 
     def test_window_sum(self):
-        x = tensor.from_values([1, 1, 3, 3], range(1, 10))
+        x = from_values([1, 1, 3, 3], range(1, 10))
         p = conv_params(np.ones((1, 1, 3, 3), np.float32), np.zeros(1, np.float32))
         y = ops.conv2d(x, p)
         assert y.shape == (1, 1, 1, 1)
@@ -207,11 +207,11 @@ class TestConv2dVjp:
 
 class TestMaxpool:
     def test_simple(self):
-        y = ops.maxpool2x2(tensor.from_values([1, 1, 2, 2], [1, 2, 3, 4]))
+        y = ops.maxpool2x2(from_values([1, 1, 2, 2], [1, 2, 3, 4]))
         assert y.item() == 4.0
 
     def test_all_negative(self):
-        y = ops.maxpool2x2(tensor.from_values([1, 1, 2, 2], [-1, -2, -3, -4]))
+        y = ops.maxpool2x2(from_values([1, 1, 2, 2], [-1, -2, -3, -4]))
         assert y.item() == -1.0
 
     def test_shape_halving(self):
@@ -223,12 +223,12 @@ class TestMaxpool:
             ops.maxpool2x2(np.zeros((1, 1, 3, 4), np.float32))
 
     def test_vjp_routes_to_max(self):
-        x = tensor.from_values([1, 1, 2, 2], [1, 2, 3, 4])
+        x = from_values([1, 1, 2, 2], [1, 2, 3, 4])
         dx = ops.maxpool2x2_vjp(x, np.ones((1, 1, 1, 1), np.float32))
         assert dx.ravel().tolist() == [0, 0, 0, 1]
 
     def test_tie_first_row_major(self):
-        x = tensor.from_values([1, 1, 2, 2], [5, 5, 0, 0])
+        x = from_values([1, 1, 2, 2], [5, 5, 0, 0])
         dx = ops.maxpool2x2_vjp(x, np.ones((1, 1, 1, 1), np.float32))
         assert dx.ravel().tolist() == [1, 0, 0, 0]
 
@@ -461,11 +461,11 @@ class TestWorkerCount:
 
 class TestUpsample:
     def test_single_pixel(self):
-        y = ops.nearest_upsample2x(tensor.from_values([1, 1, 1, 1], [1.0]))
+        y = ops.nearest_upsample2x(from_values([1, 1, 1, 1], [1.0]))
         assert y.ravel().tolist() == [1, 1, 1, 1]
 
     def test_block_replication(self):
-        y = ops.nearest_upsample2x(tensor.from_values([1, 1, 2, 2], [1, 2, 3, 4]))
+        y = ops.nearest_upsample2x(from_values([1, 1, 2, 2], [1, 2, 3, 4]))
         expect = [
             [1, 1, 2, 2],
             [1, 1, 2, 2],
@@ -482,7 +482,7 @@ class TestUpsample:
         assert y.tobytes() == want.tobytes()
 
     def test_vjp_block_sums(self):
-        up = tensor.from_values([1, 1, 2, 2], [1, 2, 3, 4])
+        up = from_values([1, 1, 2, 2], [1, 2, 3, 4])
         assert ops.nearest_upsample2x_vjp(up).item() == 10.0
         for dtype in (np.float32, np.float64):  # bit-equal to the reference block sum
             up = rand_f64((2, 3, 6, 8), seed=63).astype(dtype)
@@ -494,17 +494,17 @@ class TestUpsample:
 
 class TestRelu:
     def test_forward(self):
-        y = ops.relu(tensor.from_values([3], [-1, 0, 2]))
+        y = ops.relu(from_values([3], [-1, 0, 2]))
         assert y.tolist() == [0, 0, 2]
 
     def test_vjp_masks(self):
-        x = tensor.from_values([2], [-1, 2])
-        up = tensor.from_values([2], [5, 5])
+        x = from_values([2], [-1, 2])
+        up = from_values([2], [5, 5])
         assert ops.relu_vjp(x, up).tolist() == [0, 5]
 
     def test_zero_gets_zero_gradient(self):
-        x = tensor.from_values([1], [0.0])
-        assert ops.relu_vjp(x, tensor.from_values([1], [7.0])).item() == 0.0
+        x = from_values([1], [0.0])
+        assert ops.relu_vjp(x, from_values([1], [7.0])).item() == 0.0
 
     @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(width=32)),
                     min_size=1, max_size=16),
@@ -519,15 +519,15 @@ class TestRelu:
 
 class TestSoftmax:
     def test_symmetry(self):
-        y = ops.softmax_channels(tensor.from_values([1, 2, 1, 1], [0, 0]))
+        y = ops.softmax_channels(from_values([1, 2, 1, 1], [0, 0]))
         assert y.ravel().tolist() == [0.5, 0.5]
 
     def test_closed_form(self):
-        y = ops.softmax_channels(tensor.from_values([1, 2, 1, 1], [math.log(2), 0]))
+        y = ops.softmax_channels(from_values([1, 2, 1, 1], [math.log(2), 0]))
         assert y.ravel() == pytest.approx([2 / 3, 1 / 3], abs=1e-7)
 
     def test_large_logits_stable(self):
-        y = ops.softmax_channels(tensor.from_values([1, 2, 1, 1], [1000, 1000]))
+        y = ops.softmax_channels(from_values([1, 2, 1, 1], [1000, 1000]))
         assert np.isfinite(y).all()
         assert y.ravel().tolist() == [0.5, 0.5]
 

@@ -71,6 +71,17 @@ class TestSoftDiceLoss:
         with pytest.raises(ShapeError):
             training.soft_dice_loss(np.zeros((1, 2, 4, 4)), np.full((1, 4, 4), 0.5))
 
+    def test_empty_batch(self):
+        with pytest.raises(ShapeError, match="empty batch"):
+            training.soft_dice_loss(np.zeros((0, 2, 4, 4)), np.zeros((0, 4, 4)))
+
+    @pytest.mark.parametrize("dtype", [bool, np.int64])
+    def test_bool_or_int_target_refused(self, dtype):
+        # 0/1 values pass the mask rule; tensor.reduce_sum refuses the dtype
+        prob = np.full((1, 2, 4, 4), 0.5)
+        with pytest.raises(ShapeError, match="dtype must be float32 or float64"):
+            training.soft_dice_loss(prob, np.eye(4, dtype=dtype)[None])
+
 
 class TestLrSchedule:
     def test_plateaus(self):
