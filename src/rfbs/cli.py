@@ -1,10 +1,10 @@
 """Command-line front end: generate / train / eval / bench / analyze / infer /
 gradcheck.
 
-Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numerical
-failure. Flags may also come from a `key = value` config file (# comments);
-explicit command-line flags win, unknown keys are rejected, and the effective
-configuration is echoed as `# key = value` lines before any other output.
+Exit codes: 0 success, 1 usage error, 2 data/format error or out of memory,
+3 numerical failure. Flags may also come from a `key = value` config file
+(# comments); explicit command-line flags win, unknown keys are rejected, and
+the effective configuration is echoed as `# key = value` lines first.
 """
 
 import math
@@ -345,7 +345,7 @@ def main(argv=None):
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (FormatError, ShapeError, UnsupportedConfigError, OSError) as e:
+    except (FormatError, ShapeError, UnsupportedConfigError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except NumericsError as e:

@@ -1,8 +1,8 @@
 """Exception types shared across the engine.
 
 CLI exit-code mapping: usage errors exit 1, data/format errors (ShapeError,
-FormatError, I/O) exit 2, numerical failures (NumericsError, failed gradient
-checks) exit 3.
+FormatError, I/O, out of memory) exit 2, numerical failures (NumericsError,
+failed gradient checks) exit 3.
 """
 
 

@@ -271,13 +271,6 @@ def _run_node(node, params, ins):
     raise ShapeError(f"unknown node kind {node.kind!r}")
 
 
-# Kinds whose output is scanned for non-finite values: conv, tconv and add
-# can overflow on finite inputs, and softmax makes the output. relu,
-# maxpool, concat and upsample_nearest only select or copy values, so
-# forward scans the input once and after that only these kinds' outputs.
-_SCANNED_KINDS = {"conv", "tconv", "add", "softmax"}
-
-
 def _per_pixel(node):
     """Whether a node maps each pixel's channels on their own (relu, softmax,
     conv k1 s1 p0), so that it commutes exactly with nearest upsampling."""
@@ -313,14 +306,15 @@ def forward(spec, params, x, keep_intermediates=False):
 
     An upsample_nearest node that reaches the output only through per-pixel
     nodes, each read by the next alone, runs last: those nodes run on its
-    input, at half the size, and it upsamples their output. That gives the
-    same bits for a quarter of their work and memory. In the desk network
-    head_conv and probs run at H/2 and only the 2-channel probabilities are
-    upsampled. Tape.shapes still holds the shapes the graph defines.
+    input, at half the size, and it upsamples their output (in the desk
+    network, head_conv's and probs'). That gives the same bits for a quarter
+    of their work and memory; Tape.shapes holds the shapes the graph defines.
 
-    A non-finite value is reported by the name of the node it first shows in
-    (the first node, for a non-finite input), and a node's ShapeError or
-    UnsupportedConfigError is prefixed with the node's name.
+    Only the input and the output are scanned for non-finite values; a bad
+    output drops the tape and a replay in graph order names the first node
+    whose output is not finite, so a -inf that a relu maps to 0 passes (Adam
+    scans the gradients; the CLI exits 3). A NumericsError, ShapeError or
+    UnsupportedConfigError names its node (the first, for a bad input).
     """
     if not isinstance(x, np.ndarray) or x.ndim != 4:
         raise ShapeError("forward input must be a rank-4 NCHW array")
@@ -356,8 +350,6 @@ def forward(spec, params, x, keep_intermediates=False):
             out = values[node.inputs[0]]
         else:
             out, pullback = run(node, [values[s] for s in node.inputs])
-            if node.kind in _SCANNED_KINDS and not np.isfinite(out).all():
-                raise NumericsError(f"non-finite activation in node {node.name!r}")
             if keep_intermediates:
                 sources = tuple(alias.get(s, s) for s in node.inputs)
                 steps.append((node, node.name, sources, pullback))
@@ -370,15 +362,22 @@ def forward(spec, params, x, keep_intermediates=False):
     y = values[spec.output_name]
     if up is not None:
         y, pullback = run(up, [y])
-        # a non-finite value here would have shown in the chain's first
-        # scanned node had the upsample run in graph order
-        scanned = [node.name for node in chain if node.kind in _SCANNED_KINDS]
-        if scanned and not np.isfinite(y).all():
-            raise NumericsError(f"non-finite activation in node {scanned[0]!r}")
         if keep_intermediates:  # its gradient goes to the chain's own output
             steps.append((up, spec.output_name, (spec.output_name,), pullback))
         for node in (up, *chain):
             shapes[node.name] = shapes[node.name][:2] + y.shape[2:]
+    if not np.isfinite(y).all():  # replay in graph order to name the node
+        steps.clear()  # frees what the tape holds before the replay runs
+        values = {spec.input_name: x}
+        for i, node in enumerate(spec.nodes):
+            out, _ = run(node, [values[s] for s in node.inputs])
+            if not np.isfinite(out).all():
+                break
+            values[node.name] = out
+            for s in node.inputs:
+                if last_use[s] == i:
+                    values.pop(s, None)
+        raise NumericsError(f"non-finite activation in node {node.name!r}")
     if keep_intermediates:
         return y, Tape(spec, params, steps, shapes)
     return y, None

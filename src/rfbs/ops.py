@@ -3,10 +3,10 @@ finite-difference gradient checker.
 
 Conventions: tensors are NCHW, convolution is cross-correlation (no kernel
 flip), kernels are square, and one int stride and one int padding apply to
-both spatial axes, so Hout = floor((H + 2*pad - K)/stride) + 1. Only the
-configurations the network needs are supported: conv k3 s{1,2} p{0,1},
-conv k1 s1 p0, conv k2 s2 p0 (the transposed conv's adjoint), max-pool 2x2
-s2, transposed conv k2 s2. All four conv ops (conv2d, transposed_conv2d and
+both spatial axes, so Hout = floor((H + 2*pad - K)/stride) + 1. The network
+uses conv k3 s{1,2} p1, conv k1 s1 p0, tconv k2 s2 and max-pool 2x2 s2; the
+gradient suite adds conv k3 s{1,2} p0 and the tconv adjoint conv k2 s2 p0.
+Nothing else is supported. All four conv ops (conv2d, transposed_conv2d and
 their VJPs) run one image at a time in one GEMM layout, a shifted-row patch
 matrix: K*K contiguous column slices of the zero-padded, channel-major image
 split into its stride phases (see _shifted_rows); at k2 s2 each tap is one
@@ -29,8 +29,8 @@ import numpy as np
 from .data import Prng
 from .errors import NumericsError, ShapeError, UnsupportedConfigError
 
-# (kernel, stride, pad) triples accepted; conv k2 s2 exists for the adjoint
-# pairing with transposed_conv2d.
+# (kernel, stride, pad) triples accepted; p0 at k3 serves the gradient suite,
+# and conv k2 s2 the adjoint pairing with transposed_conv2d.
 _CONV_CONFIGS = {(3, 1, 1), (3, 2, 1), (3, 1, 0), (3, 2, 0), (1, 1, 0), (2, 2, 0)}
 _TCONV_CONFIGS = {(2, 2, 0)}
 

@@ -114,6 +114,16 @@ class TestGenerate:
             assert rc == 0
         assert dir_digest(tmp_path / "a") == dir_digest(tmp_path / "b")
 
+    def test_out_of_memory_exit_2(self, tmp_path, monkeypatch, capsys):
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+
+        monkeypatch.setattr(data, "generate_phantoms", exhausted)
+        assert cli.main(["generate", "--out", str(tmp_path / "d"), "--count", "2",
+                         "--size", "100000"]) == 2
+        assert "error: Unable to allocate 74.5 GiB" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_config_echoed(self, tmp_path, capsys):
         cli.main(["generate", "--out", str(tmp_path / "c"), "--count", "4",
                   "--size", "64"])
@@ -211,6 +221,15 @@ class TestTrain:
             digests.append([hashlib.sha256(f.read_bytes()).hexdigest()
                             for f in (out, log)])
         assert digests[0] == digests[1]
+
+    def test_diverging_run_exit_3(self, tmp_path, capsys):
+        assert cli.main(["generate", "--out", str(tmp_path / "d"), "--count", "4",
+                         "--size", "64", "--seed", "1"]) == 0
+        assert cli.main(["train", "--data", str(tmp_path / "d"),
+                         "--out", str(tmp_path / "m.ckpt"), "--lr", "1e36",
+                         "--batch", "1", "--epochs", "3"]) == 3
+        err = capsys.readouterr().err
+        assert "epoch 0 batch 1: non-finite activation in node 'sh_conv'" in err
 
 
 class TestEval:
@@ -416,6 +435,19 @@ class TestInfer:
         prob = tensor.read_rft1(prob_path)
         assert prob.shape == (1, 2, 64, 64)
         assert np.abs(prob.sum(axis=1) - 1.0).max() <= 1e-6
+
+    def test_overflowing_checkpoint_exit_3(self, desk_spec, tmp_path, capsys):
+        params = model.init_params(desk_spec, seed=0)
+        params["e2_conv_b.weight"] *= np.float32(1e38)
+        bad = tmp_path / "big.ckpt"
+        model.save_checkpoint(bad, desk_spec, params)
+        img = tmp_path / "in.pgm"
+        data.write_pgm(img, data.generate_phantoms(1, 64, seed=1).samples[0].image)
+        assert cli.main(["infer", "--ckpt", str(bad), "--in", str(img),
+                         "--out", str(tmp_path / "o.pgm")]) == 3
+        err = capsys.readouterr().err
+        assert "non-finite activation in node 'd1_add'" in err
+        assert not (tmp_path / "o.pgm").exists()
 
 
 class TestGradcheck:
