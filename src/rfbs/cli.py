@@ -10,6 +10,7 @@ the effective configuration is echoed as `# key = value` lines first.
 import math
 import os
 import sys
+import warnings
 
 # Pin BLAS pools to one thread so results are bit-identical regardless of the
 # machine's core count; must happen before numpy is first imported. The conv
@@ -339,9 +340,12 @@ def main(argv=None):
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     try:
-        cfg = _resolve(args, args.command)
-        _echo_config(args.command, cfg)
-        return _DISPATCH[args.command](cfg)
+        with warnings.catch_warnings():  # process-wide, so eval's pool threads too
+            # numpy's overflow warnings would precede the one-line error below
+            warnings.simplefilter("ignore", RuntimeWarning)
+            cfg = _resolve(args, args.command)
+            _echo_config(args.command, cfg)
+            return _DISPATCH[args.command](cfg)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

@@ -17,15 +17,15 @@ The desk topology instantiates the four-module design at fixed widths:
 
 Spatial extents must be multiples of 16 so the additive skips line up.
 Nearest upsampling commutes exactly with the per-pixel conv and softmax, so
-forward runs the classifier's conv and softmax at H/2 and upsamples only the
-2-channel probabilities; the graph, its hash and its FLOP counts still
-describe the head as written above (see forward).
+forward runs a rewrite of the graph (_run_order) with the classifier's conv
+and softmax at H/2 and the upsample last; the graph, its hash, its shapes and
+its FLOP counts still describe the head as written above.
 """
 
 import struct
 import zlib
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -155,10 +155,11 @@ def build_rfbsnet_desk():
 def infer_shapes(spec, input_shape):
     """Per-node output shapes for the given NCHW input shape.
 
-    The ops decide every shape: this runs forward on an empty batch (zero
-    weights, no pixel computed) and puts the batch extent back on each
-    activation's shape. Raises ShapeError naming the first inconsistent node,
-    or UnsupportedConfigError naming a layer config the ops do not support.
+    The ops decide every shape: this runs the graph as written on an empty
+    batch (zero weights, no pixel computed) and puts the batch extent back
+    on each activation's shape. Raises ShapeError naming the first
+    inconsistent node, or UnsupportedConfigError naming a layer config the
+    ops do not support.
     """
     if len(input_shape) != 4 or any(int(v) < 1 for v in input_shape):
         raise ShapeError(f"input shape must be NCHW with extents >= 1, got {input_shape}")
@@ -166,7 +167,7 @@ def infer_shapes(spec, input_shape):
     params = ParameterStore({name: np.zeros(shape, dtype=np.float32)
                              for name, shape in parameter_shapes(spec.nodes).items()})
     x = np.zeros((0, c, h, w), dtype=np.float32)
-    _, tape = forward(spec, params, x, keep_intermediates=True)
+    _, tape = _forward(spec, params, x, keep_intermediates=True)
     return {name: (n,) + shape[1:] for name, shape in tape.shapes.items()}
 
 
@@ -214,12 +215,11 @@ def _conv_params(node, params):
 
 @dataclass
 class Tape:
-    """What backward needs from one forward: its steps in execution order,
-    each (node, the value whose gradient its pullback takes, the values its
-    input gradients go to, pullback), where a pullback holds exactly the
-    activations that node's VJP reads (see _run_node); the parameters; and
-    the shape of the input and of every node as the graph defines it.
-    backward consumes the steps and leaves None."""
+    """What backward needs from one forward, for the graph that ran (see
+    _run_order): that graph; the parameters; its steps in execution order,
+    each (node, pullback), where a pullback holds exactly the activations
+    that node's VJP reads (see _run_node); and the shape of the input and of
+    every node. backward consumes the steps and leaves None."""
 
     spec: ArchitectureSpec
     params: ParameterStore
@@ -278,22 +278,27 @@ def _per_pixel(node):
         node.kind == "conv" and (node.kernel, node.stride, node.padding) == (1, 1, 0))
 
 
-def _deferred_upsample(spec):
-    """(upsample node, the nodes after it, in order) when an upsample_nearest
-    node reaches the output only through per-pixel nodes, each read by the
-    next alone; else (None, ())."""
+def _run_order(spec):
+    """The graph forward runs: when an upsample_nearest node reaches the
+    output only through per-pixel nodes, each read by the next alone, a copy
+    of spec in which the first of them reads the upsample's input and the
+    upsample runs last, on their output (desk: head_conv reads fuse_b, head_up
+    reads probs); else spec. Same bits, a quarter of those nodes' work."""
     readers = Counter(s for node in spec.nodes for s in node.inputs)
     nodes = {node.name: node for node in spec.nodes}
     chain, name = [], spec.output_name
     while name in nodes and readers[name] == (1 if chain else 0):
         node = nodes[name]
-        if node.kind == "upsample_nearest":
-            return (node, chain[::-1]) if chain else (None, ())
+        if node.kind == "upsample_nearest" and chain:
+            rest = tuple(replace(n, inputs=node.inputs) if n is chain[-1] else n
+                         for n in spec.nodes if n is not node)
+            last = replace(node, inputs=(spec.output_name,))
+            return replace(spec, output_name=node.name, nodes=rest + (last,))
         if not _per_pixel(node):
             break
         chain.append(node)
         name = node.inputs[0]
-    return None, ()
+    return spec
 
 
 def forward(spec, params, x, keep_intermediates=False):
@@ -304,17 +309,16 @@ def forward(spec, params, x, keep_intermediates=False):
     only what that node's VJP reads (see _run_node), and every node's shape.
     Without keep_intermediates the tape is None.
 
-    An upsample_nearest node that reaches the output only through per-pixel
-    nodes, each read by the next alone, runs last: those nodes run on its
-    input, at half the size, and it upsamples their output (in the desk
-    network, head_conv's and probs'). That gives the same bits for a quarter
-    of their work and memory; Tape.shapes holds the shapes the graph defines.
+    The graph that runs is _run_order(spec): the desk network's classifier
+    conv and softmax run at H/2 and its upsample runs last, on the 2-channel
+    probabilities. The tape describes that graph; infer_shapes gives the
+    shapes of spec as written.
 
     Only the input and the output are scanned for non-finite values; a bad
-    output drops the tape and a replay in graph order names the first node
-    whose output is not finite, so a -inf that a relu maps to 0 passes (Adam
-    scans the gradients; the CLI exits 3). A NumericsError, ShapeError or
-    UnsupportedConfigError names its node (the first, for a bad input).
+    output drops the tape and a replay of the same graph names the first
+    node whose output is not finite, so a -inf that a relu maps to 0 passes
+    (Adam scans the gradients; the CLI exits 3). A NumericsError, ShapeError
+    or UnsupportedConfigError names its node (the first, for a bad input).
     """
     if not isinstance(x, np.ndarray) or x.ndim != 4:
         raise ShapeError("forward input must be a rank-4 NCHW array")
@@ -331,56 +335,46 @@ def forward(spec, params, x, keep_intermediates=False):
         raise NumericsError(
             f"non-finite input {spec.input_name!r} to node {spec.nodes[0].name!r}"
         )
+    return _forward(_run_order(spec), params, x, keep_intermediates)
 
-    def run(node, ins):
-        try:
-            return _run_node(node, params, ins)
-        except (ShapeError, UnsupportedConfigError) as e:
-            raise type(e)(f"node {node.name!r}: {e}") from None
 
-    up, chain = _deferred_upsample(spec)
-    # gradients for the deferred upsample's output go to its input
-    alias = {up.name: up.inputs[0]} if up else {}
-    values = {spec.input_name: x}
-    shapes = {spec.input_name: x.shape}
-    steps = []
+def _forward(spec, params, x, keep_intermediates):
+    """forward without its input checks, running spec's nodes in order."""
     last_use = {s: i for i, node in enumerate(spec.nodes) for s in node.inputs}
-    for i, node in enumerate(spec.nodes):
-        if node is up:  # runs last; until then its input stands in for it
-            out = values[node.inputs[0]]
-        else:
-            out, pullback = run(node, [values[s] for s in node.inputs])
-            if keep_intermediates:
-                sources = tuple(alias.get(s, s) for s in node.inputs)
-                steps.append((node, node.name, sources, pullback))
-            del pullback  # without a tape, what it holds must not outlive the node
-        values[node.name] = out
-        shapes[node.name] = out.shape
-        for s in node.inputs:  # drop what no later node reads
-            if last_use[s] == i:
-                values.pop(s, None)
-    y = values[spec.output_name]
-    if up is not None:
-        y, pullback = run(up, [y])
-        if keep_intermediates:  # its gradient goes to the chain's own output
-            steps.append((up, spec.output_name, (spec.output_name,), pullback))
-        for node in (up, *chain):
-            shapes[node.name] = shapes[node.name][:2] + y.shape[2:]
-    if not np.isfinite(y).all():  # replay in graph order to name the node
-        steps.clear()  # frees what the tape holds before the replay runs
+
+    def run(steps):
+        """Yield (node, output) in graph order, appending (node, pullback)
+        to steps unless it is None; each activation is dropped after the
+        last node that reads it."""
         values = {spec.input_name: x}
         for i, node in enumerate(spec.nodes):
-            out, _ = run(node, [values[s] for s in node.inputs])
-            if not np.isfinite(out).all():
-                break
+            try:
+                out, pullback = _run_node(node, params, [values[s] for s in node.inputs])
+            except (ShapeError, UnsupportedConfigError) as e:
+                raise type(e)(f"node {node.name!r}: {e}") from None
+            if steps is not None:
+                steps.append((node, pullback))
+            del pullback  # without a tape, what it holds must not outlive the node
             values[node.name] = out
             for s in node.inputs:
                 if last_use[s] == i:
                     values.pop(s, None)
+            yield node, out
+
+    steps = [] if keep_intermediates else None
+    shapes = {spec.input_name: x.shape}
+    y = x  # unless a node is the output
+    for node, out in run(steps):
+        shapes[node.name] = out.shape
+        if node.name == spec.output_name:
+            y = out
+    if not np.isfinite(y).all():
+        steps = None  # frees what the tape holds before the replay runs
+        for node, out in run(None):
+            if not np.isfinite(out).all():
+                break
         raise NumericsError(f"non-finite activation in node {node.name!r}")
-    if keep_intermediates:
-        return y, Tape(spec, params, steps, shapes)
-    return y, None
+    return y, Tape(spec, params, steps, shapes) if keep_intermediates else None
 
 
 def backward(tape, loss_grad):
@@ -389,10 +383,10 @@ def backward(tape, loss_grad):
     Runs the tape's steps in reverse; what each pullback reads is decided
     where forward made it, in _run_node. Skip connections accumulate
     gradients from all consumers; concat splits the upstream back onto its
-    operands. After a deferred upsample (see forward) the first step is its
-    VJP, which sums each 2x2 block of loss_grad; the per-pixel VJPs that
-    follow are linear in their upstream and read activations that are
-    constant over each block, so at half the size they give the same
+    operands. In the desk graph as it ran (see _run_order) the first step is
+    the upsample's VJP, which sums each 2x2 block of loss_grad; the per-pixel
+    VJPs that follow are linear in their upstream and read activations that
+    are constant over each block, so at half the size they give the graph's
     gradients up to rounding.
 
     backward consumes the tape: it drops each pullback once it has run, so
@@ -413,14 +407,14 @@ def backward(tape, loss_grad):
     upstream = {spec.output_name: loss_grad}
     param_grads = {}
     while steps:
-        node, name, sources, pullback = steps.pop()
-        up = upstream.pop(name, None)
+        node, pullback = steps.pop()
+        up = upstream.pop(node.name, None)
         if up is None:
             continue
         grads = pullback(up)
-        for target, grad in zip(sources, grads):
+        for target, grad in zip(node.inputs, grads):
             upstream[target] = upstream[target] + grad if target in upstream else grad
-        for suffix, grad in zip((".weight", ".bias"), grads[len(sources):]):
+        for suffix, grad in zip((".weight", ".bias"), grads[len(node.inputs):]):
             param_grads[node.name + suffix] = grad
     return {name: param_grads[name] if name in param_grads else np.zeros_like(value)
             for name, value in tape.params.items()}

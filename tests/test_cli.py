@@ -1,5 +1,6 @@
 import hashlib
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from rfbs import cli, data, model, ops, tensor
 
-from conftest import corrupted
+from conftest import corrupted, run_cli
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +88,29 @@ def test_size_not_a_positive_multiple_of_16(ckpt, capsys, command, size):
     ckpt_flag = ["--ckpt", ckpt] if command == "bench" else []
     assert cli.main([command, *ckpt_flag, "--size", size]) == 1
     assert "--size" in capsys.readouterr().err
+
+
+@pytest.fixture
+def overflowing(desk_spec, tmp_path):
+    """(checkpoint whose forward overflows at d1_add, input image) paths."""
+    params = model.init_params(desk_spec, seed=0)
+    params["e2_conv_b.weight"] *= np.float32(1e38)
+    model.save_checkpoint(tmp_path / "big.ckpt", desk_spec, params)
+    data.write_pgm(tmp_path / "in.pgm", data.generate_phantoms(1, 64, seed=1).samples[0].image)
+    return str(tmp_path / "big.ckpt"), str(tmp_path / "in.pgm")
+
+
+@pytest.mark.parametrize("command", ["infer", "eval"])
+def test_numerical_failure_is_one_stderr_line(overflowing, dataset_dir, tmp_path, command):
+    # numpy's RuntimeWarnings, from the main thread or eval's pool threads,
+    # do not reach stderr ahead of the error (a fresh process, as pytest
+    # captures warnings itself)
+    bad, img = overflowing
+    args = {"infer": ["--in", img, "--out", str(tmp_path / "o.pgm")],
+            "eval": ["--data", dataset_dir, "--threads", "2"]}[command]
+    proc = run_cli([command, "--ckpt", bad, *args])
+    assert proc.returncode == 3
+    assert proc.stderr == "numerical failure: non-finite activation in node 'd1_add'\n"
 
 
 class TestGenerate:
@@ -290,7 +314,7 @@ class TestEval:
 
     def test_corrupt_checkpoint_exit_2(self, dataset_dir, tmp_path, ckpt):
         bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(open(ckpt, "rb").read()[:50])
+        bad.write_bytes(Path(ckpt).read_bytes()[:50])
         assert cli.main(["eval", "--data", dataset_dir, "--ckpt", str(bad)]) == 2
 
     def test_bad_split_usage_error(self, dataset_dir, ckpt):
@@ -416,7 +440,7 @@ class TestInfer:
 
     def test_non_utf8_checkpoint_name_exit_2(self, ckpt, tmp_path, capsys):
         bad = tmp_path / "name.ckpt"
-        blob = bytearray(open(ckpt, "rb").read())
+        blob = bytearray(Path(ckpt).read_bytes())
         blob[16] = 0xFF  # first name byte: after the 14-byte header and a u16 length
         bad.write_bytes(bytes(blob))
         img = tmp_path / "in.pgm"
@@ -436,14 +460,9 @@ class TestInfer:
         assert prob.shape == (1, 2, 64, 64)
         assert np.abs(prob.sum(axis=1) - 1.0).max() <= 1e-6
 
-    def test_overflowing_checkpoint_exit_3(self, desk_spec, tmp_path, capsys):
-        params = model.init_params(desk_spec, seed=0)
-        params["e2_conv_b.weight"] *= np.float32(1e38)
-        bad = tmp_path / "big.ckpt"
-        model.save_checkpoint(bad, desk_spec, params)
-        img = tmp_path / "in.pgm"
-        data.write_pgm(img, data.generate_phantoms(1, 64, seed=1).samples[0].image)
-        assert cli.main(["infer", "--ckpt", str(bad), "--in", str(img),
+    def test_overflowing_checkpoint_exit_3(self, overflowing, tmp_path, capsys):
+        bad, img = overflowing
+        assert cli.main(["infer", "--ckpt", bad, "--in", img,
                          "--out", str(tmp_path / "o.pgm")]) == 3
         err = capsys.readouterr().err
         assert "non-finite activation in node 'd1_add'" in err

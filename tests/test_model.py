@@ -84,9 +84,13 @@ class TestInferShapes:
 
     @pytest.mark.parametrize("h, w", [(32, 48), (64, 64)])
     def test_equals_forward_tape_shapes(self, desk_spec, desk_params, h, w):
+        # the tape holds the shapes of the graph that ran, where the head
+        # runs at H/2 and upsamples last; infer_shapes gives the graph's own
         x = rand_f32((2, 1, h, w), seed=h * 100 + w)
         _, tape = model.forward(desk_spec, desk_params, x, keep_intermediates=True)
-        assert model.infer_shapes(desk_spec, (2, 1, h, w)) == tape.shapes
+        assert model.infer_shapes(tape.spec, (2, 1, h, w)) == tape.shapes
+        head = {"head_up": (2, 16, h, w), "head_conv": (2, 2, h, w), "probs": (2, 2, h, w)}
+        assert model.infer_shapes(desk_spec, (2, 1, h, w)) == {**tape.shapes, **head}
 
     @pytest.mark.parametrize("extent", [0, -16])
     def test_non_positive_extent_rejected(self, desk_spec, extent):
@@ -181,8 +185,8 @@ class TestForward:
     def test_tape_keeps_what_backward_reads(self, desk_spec, desk_params, monkeypatch):
         # the pullbacks hold relu and softmax outputs and conv inputs; every
         # other node output is gone once forward returns. The head runs at
-        # H/2, so head_conv holds fuse_b and probs is kept at H/2, while
-        # Tape.shapes keeps the shapes the graph defines.
+        # H/2, so head_conv holds fuse_b and probs is kept at H/2, and
+        # Tape.shapes keeps the shapes of the graph that ran.
         run_node, outs = model._run_node, {}
 
         def tracking(node, params, ins):
@@ -199,11 +203,12 @@ class TestForward:
         assert len(relus) == 10
         assert set(live) == {*relus, "d1_add", "d2_add", "fuse_b", "probs"}
         assert live["probs"].shape == (2, 2, 16, 16)
-        assert tape.shapes["probs"] == (2, 2, 32, 32)
-        assert tape.shapes["head_up"] == (2, 16, 32, 32)
-        assert all(tape.shapes[name] == v.shape for name, v in live.items()
-                   if name != "probs")
-        assert list(tape.shapes) == ["image"] + [n.name for n in desk_spec.nodes]
+        assert tape.shapes["head_up"] == (2, 2, 32, 32)
+        assert all(tape.shapes[name] == v.shape for name, v in live.items())
+        assert list(tape.shapes) == ["image"] + [n.name for n in tape.spec.nodes]
+        shapes = model.infer_shapes(desk_spec, (2, 1, 32, 32))
+        assert shapes["probs"] == (2, 2, 32, 32)
+        assert shapes["head_up"] == (2, 16, 32, 32)
 
 
 def _inject(monkeypatch, target, bad):
@@ -423,6 +428,20 @@ class TestDeferredHead:
             if not name.startswith("head_conv"):
                 assert np.abs(got[name] - want).max() <= rel * np.abs(want).max(), name
 
+    def test_run_order_moves_the_upsample_last(self, desk_spec):
+        # head_conv reads fuse_b and head_up, last, upsamples probs as the
+        # output; every other node is the same, in the same order
+        ran = model._run_order(desk_spec)
+        assert ran.output_name == "head_up"
+        assert ran.nodes[-1] == dataclasses.replace(desk_spec.node("head_up"),
+                                                    inputs=("probs",))
+        assert ran.node("head_conv") == dataclasses.replace(desk_spec.node("head_conv"),
+                                                           inputs=("fuse_b",))
+        others = [n for n in desk_spec.nodes if n.name not in ("head_up", "head_conv")]
+        assert [n for n in ran.nodes if n.name not in ("head_up", "head_conv")] == others
+        assert [n.name for n in ran.nodes[-3:]] == ["head_conv", "probs", "head_up"]
+        assert dataclasses.replace(ran, output_name="probs", nodes=desk_spec.nodes) == desk_spec
+
     @pytest.mark.parametrize("kernel, side_reader", [(3, False), (1, True)])
     def test_upsample_runs_in_graph_order_unless_deferrable(self, kernel, side_reader):
         # a k3 conv reads neighbouring pixels, and a second reader needs the
@@ -440,6 +459,7 @@ class TestDeferredHead:
                 model.LayerNode("probs", "softmax", ("b",)),
             ),
         )
+        assert model._run_order(spec) is spec
         params = model.init_params(spec, seed=5, dtype=np.float64)
         x = rand_f64((2, 2, 6, 6), seed=89)
         upstream = rand_f64((2, 2, 12, 12), seed=90)
