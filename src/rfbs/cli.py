@@ -22,7 +22,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ.setdefault(_var, "1")
 
 import argparse
-from concurrent.futures import ThreadPoolExecutor
 
 from . import analysis, bench, data, gradsuite, metrics, model, training
 from .errors import FormatError, NumericsError, ShapeError, UnsupportedConfigError
@@ -250,24 +249,13 @@ def cmd_train(cfg):
     return 0
 
 
-def _eval_one(spec, params, sample):
-    prob, _ = model.forward(spec, params, sample.image[None, :, :, :])
-    pred = metrics.argmax_mask(prob, foreground_class=1)[0]
-    return metrics.evaluate_image(sample.id, pred, sample.mask)
-
-
 def cmd_eval(cfg):
     dataset = data.load_dataset(cfg["data"])
     part = dataset.part(cfg["split"])
     if not part:
         raise FormatError(f"split {cfg['split']!r} has no samples")
     spec, params = _load_model(cfg["ckpt"])
-    if cfg["threads"] > 1:
-        with ThreadPoolExecutor(max_workers=cfg["threads"]) as pool:
-            results = list(pool.map(lambda s: _eval_one(spec, params, s), part))
-    else:
-        results = [_eval_one(spec, params, s) for s in part]
-    report = metrics.aggregate(results)
+    report = training.evaluate(spec, params, part, cfg["threads"])
     records = metrics.format_records(report)
     print(records, end="")
     if cfg["tsv"]:

@@ -40,12 +40,10 @@ def _as_binary(a, name):
 
 def confusion(pred_mask, ref_mask):
     """Exact pixel counts of a binary prediction against a binary reference."""
-    if pred_mask.shape != ref_mask.shape:
-        raise ShapeError(
-            f"mask shapes differ: {pred_mask.shape} vs {ref_mask.shape}"
-        )
     p = _as_binary(pred_mask, "pred_mask")
     r = _as_binary(ref_mask, "ref_mask")
+    if p.shape != r.shape:
+        raise ShapeError(f"mask shapes differ: {p.shape} vs {r.shape}")
     tp = int(np.count_nonzero(p & r))
     fp = int(np.count_nonzero(p & ~r))
     fn = int(np.count_nonzero(~p & r))
@@ -99,7 +97,6 @@ class ImageResult:
     image_id: str
     dice: float
     iou: float
-    counts: ConfusionCounts
 
 
 @dataclass(frozen=True)
@@ -109,7 +106,6 @@ class MetricsReport:
     std_dice: float
     mean_iou: float
     std_iou: float
-    counts: ConfusionCounts  # summed over images
 
 
 def mean_std(values):
@@ -123,7 +119,7 @@ def mean_std(values):
 
 def evaluate_image(image_id, pred_mask, ref_mask):
     c = confusion(pred_mask, ref_mask)
-    return ImageResult(image_id=image_id, dice=dice(c), iou=iou(c), counts=c)
+    return ImageResult(image_id=image_id, dice=dice(c), iou=iou(c))
 
 
 def aggregate(results):
@@ -133,19 +129,12 @@ def aggregate(results):
         raise ShapeError("aggregate needs at least one image result")
     mean_d, std_d = mean_std([r.dice for r in results])
     mean_i, std_i = mean_std([r.iou for r in results])
-    total = ConfusionCounts(
-        tp=sum(r.counts.tp for r in results),
-        fp=sum(r.counts.fp for r in results),
-        fn=sum(r.counts.fn for r in results),
-        tn=sum(r.counts.tn for r in results),
-    )
     return MetricsReport(
         per_image=tuple(results),
         mean_dice=mean_d,
         std_dice=std_d,
         mean_iou=mean_i,
         std_iou=std_i,
-        counts=total,
     )
 
 

@@ -157,12 +157,13 @@ def infer_shapes(spec, input_shape):
 
     The ops decide every shape: this runs the graph as written on an empty
     batch (zero weights, no pixel computed) and puts the batch extent back
-    on each activation's shape. Raises ShapeError naming the first
-    inconsistent node, or UnsupportedConfigError naming a layer config the
-    ops do not support.
+    on each activation's shape. A shape forward refuses, or an extent below
+    1, raises ShapeError up front; else ShapeError names the first bad node
+    and UnsupportedConfigError a layer config the ops do not support.
     """
-    if len(input_shape) != 4 or any(int(v) < 1 for v in input_shape):
-        raise ShapeError(f"input shape must be NCHW with extents >= 1, got {input_shape}")
+    if any(int(v) < 1 for v in input_shape):
+        raise ShapeError(f"input shape must have extents >= 1, got {input_shape}")
+    _check_input_shape(spec, input_shape)
     n, c, h, w = (int(v) for v in input_shape)
     params = ParameterStore({name: np.zeros(shape, dtype=np.float32)
                              for name, shape in parameter_shapes(spec.nodes).items()})
@@ -301,6 +302,21 @@ def _run_order(spec):
     return spec
 
 
+def _check_input_shape(spec, shape):
+    """The input shapes forward accepts: rank-4 NCHW, H and W multiples of
+    the total downsampling factor, and spec's input channel count."""
+    if len(shape) != 4:
+        raise ShapeError(f"input must be rank-4 NCHW, got shape {tuple(shape)}")
+    _, c, h, w = shape
+    m = spec.total_downsampling_factor
+    if h % m or w % m:
+        raise ShapeError(f"input H and W must be multiples of {m}, got {h}x{w}")
+    if c != spec.in_channels:
+        raise ShapeError(
+            f"input has {c} channels, {spec.arch_id} expects {spec.in_channels}"
+        )
+
+
 def forward(spec, params, x, keep_intermediates=False):
     """Run the graph; returns (probability map, tape).
 
@@ -320,17 +336,9 @@ def forward(spec, params, x, keep_intermediates=False):
     (Adam scans the gradients; the CLI exits 3). A NumericsError, ShapeError
     or UnsupportedConfigError names its node (the first, for a bad input).
     """
-    if not isinstance(x, np.ndarray) or x.ndim != 4:
+    if not isinstance(x, np.ndarray):
         raise ShapeError("forward input must be a rank-4 NCHW array")
-    m = spec.total_downsampling_factor
-    if x.shape[2] % m or x.shape[3] % m:
-        raise ShapeError(
-            f"input H and W must be multiples of {m}, got {x.shape[2]}x{x.shape[3]}"
-        )
-    if x.shape[1] != spec.in_channels:
-        raise ShapeError(
-            f"input has {x.shape[1]} channels, {spec.arch_id} expects {spec.in_channels}"
-        )
+    _check_input_shape(spec, x.shape)
     if not np.isfinite(x).all():
         raise NumericsError(
             f"non-finite input {spec.input_name!r} to node {spec.nodes[0].name!r}"

@@ -1,5 +1,6 @@
-"""Training recipe: soft Dice loss, Adam, step-decayed learning rate, and the
-epoch loop with per-epoch validation and best-checkpoint retention.
+"""Training recipe: soft Dice loss, Adam, step-decayed learning rate, the epoch
+loop with best-checkpoint retention, and `evaluate`, which scores parameters
+for both per-epoch validation and `rfbs eval`.
 
 The loss is the probabilistic (soft) Dice complement on the foreground
 channel, averaged over the batch. Determinism contract: a fixed (seed, data,
@@ -8,12 +9,13 @@ config) triple yields a bit-identical final parameter store and log.
 
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
 
-from . import metrics
+from . import metrics, model
 from .data import Prng, batches, is_binary_mask
 from .errors import NumericsError, ShapeError
 from .model import backward, forward, init_params
@@ -98,10 +100,8 @@ class AdamState:
 
 
 def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One bias-corrected Adam update, in parameter insertion order, in place."""
-    state.t += 1
-    bc1 = 1.0 - beta1**state.t
-    bc2 = 1.0 - beta2**state.t
+    """One bias-corrected Adam update, in parameter insertion order, in place;
+    a bad gradient refuses the step before anything moves."""
     for name, theta in params.items():
         g = grads.get(name)
         if g is None:
@@ -112,6 +112,11 @@ def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
             )
         if not np.isfinite(g).all():
             raise NumericsError(f"non-finite gradient for parameter {name!r}")
+    state.t += 1
+    bc1 = 1.0 - beta1**state.t
+    bc2 = 1.0 - beta2**state.t
+    for name, theta in params.items():
+        g = grads[name]
         m = state.m[name]
         v = state.v[name]
         m *= beta1
@@ -144,14 +149,23 @@ class TrainLog:
             fh.write(self.format_lines())
 
 
-def validation_dice(spec, params, val_samples):
-    """Mean per-image Dice over the validation part (batch-1 forwards)."""
-    dices = []
-    for sample in val_samples:
-        prob, _ = forward(spec, params, sample.image[None, :, :, :])
+def evaluate(spec, params, samples, workers=1):
+    """Score params on samples: a batch-1 forward per sample, its argmax mask
+    against the sample's mask, folded into a metrics.MetricsReport in sample
+    order. With workers > 1 the samples run on a thread pool of that size."""
+
+    def score(sample):
+        # the module attribute, looked up per call, so a wrapper installed on
+        # model.forward (the benchmark's tracer) sees every forward
+        prob, _ = model.forward(spec, params, sample.image[None, :, :, :])
         pred = metrics.argmax_mask(prob, foreground_class=1)[0]
-        dices.append(metrics.dice(metrics.confusion(pred, sample.mask)))
-    return sum(dices) / len(dices)
+        return metrics.evaluate_image(sample.id, pred, sample.mask)
+
+    if workers == 1:
+        return metrics.aggregate([score(s) for s in samples])
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(score, samples))
+    return metrics.aggregate(results)
 
 
 def train_step(spec, params, state, images, masks, lr, cfg):
@@ -199,7 +213,7 @@ def train(spec, dataset, cfg, progress=None):
             log.steps.append((global_step, lr, loss))
             epoch_losses.append(loss)
             global_step += 1
-        val_dice = validation_dice(spec, params, val_part)
+        val_dice = evaluate(spec, params, val_part).mean_dice
         seconds = time.perf_counter() - started
         train_loss = sum(epoch_losses) / len(epoch_losses)
         log.epochs.append((epoch, train_loss, val_dice, seconds))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rfbs import model, ops
+from rfbs import analysis, model, ops
 from rfbs.errors import FormatError, NumericsError, ShapeError
 
 from conftest import corrupted, join_spec, rand_f32, rand_f64
@@ -91,6 +91,12 @@ class TestInferShapes:
         assert model.infer_shapes(tape.spec, (2, 1, h, w)) == tape.shapes
         head = {"head_up": (2, 16, h, w), "head_conv": (2, 2, h, w), "probs": (2, 2, h, w)}
         assert model.infer_shapes(desk_spec, (2, 1, h, w)) == {**tape.shapes, **head}
+
+    @pytest.mark.parametrize("count", [model.infer_shapes, analysis.count_flops])
+    def test_forward_extent_rule(self, desk_spec, count):
+        # refused up front with forward's message and the caller's shape
+        with pytest.raises(ShapeError, match="multiples of 16, got 40x40"):
+            count(desk_spec, (1, 1, 40, 40))
 
     @pytest.mark.parametrize("extent", [0, -16])
     def test_non_positive_extent_rejected(self, desk_spec, extent):
@@ -226,6 +232,7 @@ def _inject(monkeypatch, target, bad):
 
 
 class TestNonFiniteScan:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # ±inf is injected on purpose
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("target", ["ds_pool", "ds_cat", "e1_relu_a", "e2_conv_b",
                                         "d2_up", "fuse_a", "head_up", "probs"])

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from rfbs import data, model, ops, training
+from rfbs import data, metrics, model, ops, training
 from rfbs.errors import NumericsError, ShapeError
 from rfbs.model import ParameterStore
 
@@ -160,6 +160,37 @@ class TestAdam:
         with pytest.raises(ShapeError):
             training.adam_step(params, {}, state, lr=1e-3)
 
+    def test_refused_step_moves_nothing(self, desk_spec):
+        # every gradient is checked before any update: a non-finite gradient in
+        # the last parameter leaves params, m, v and t as they were
+        params = model.init_params(desk_spec, seed=3)
+        state = training.AdamState(params)
+        grads = {name: np.full_like(v, 0.5) for name, v in params.items()}
+        training.adam_step(params, grads, state, lr=1e-3)
+
+        def snapshot():
+            stores = (params, state.m, state.v)
+            return [s[name].tobytes() for s in stores for name in params], state.t
+
+        before = snapshot()
+        last = params.names()[-1]
+        grads[last] = grads[last].copy()
+        grads[last][0] = np.nan
+        with pytest.raises(NumericsError, match=last):
+            training.adam_step(params, grads, state, lr=1e-3)
+        assert snapshot() == before
+
+
+class TestEvaluate:
+    def test_matches_the_per_image_metrics(self, desk_spec, desk_params):
+        samples = tiny_dataset(n=6, size=32).samples
+        report = training.evaluate(desk_spec, desk_params, samples)
+        assert [r.image_id for r in report.per_image] == [s.id for s in samples]
+        for r, s in zip(report.per_image, samples):
+            prob, _ = model.forward(desk_spec, desk_params, s.image[None])
+            pred = metrics.argmax_mask(prob, foreground_class=1)[0]
+            assert r == metrics.evaluate_image(s.id, pred, s.mask)
+
 
 def tiny_dataset(n=16, size=32, seed=4, fraction=0.8):
     ds = data.generate_phantoms(n, max(size, 64), seed=seed)
@@ -208,7 +239,7 @@ class TestTrain:
         cfg = training.TrainConfig(batch_size=4, epochs=3, seed=2)
         best, log = training.train(desk_spec, ds, cfg)
         best_logged = max(e[2] for e in log.epochs)
-        rescored = training.validation_dice(desk_spec, best, ds.part("val"))
+        rescored = training.evaluate(desk_spec, best, ds.part("val")).mean_dice
         assert rescored == best_logged
 
     def test_previous_tape_freed_before_next_forward(self, desk_spec, monkeypatch):
