@@ -14,9 +14,9 @@ import warnings
 
 # Pin BLAS pools to one thread so results are bit-identical regardless of the
 # machine's core count; must happen before numpy is first imported. The conv
-# ops spread a batch's images over the usable CPUs themselves (ops._each_image),
-# with results that do not depend on the CPU count; RFBS_THREADS is only
-# eval's outer worker count.
+# ops spread a batch's images, and validation and eval their samples, over the
+# usable CPUs by one rule (ops.each_image), with results that do not depend on
+# the CPU count; RFBS_THREADS and --threads only cap eval's thread count.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
              "NUMEXPR_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
@@ -227,6 +227,12 @@ def cmd_generate(cfg):
 
 
 def cmd_train(cfg):
+    log_path = cfg["log"] or cfg["out"] + ".log"
+    for path in (cfg["out"], log_path):  # refused before the first step
+        if os.path.isdir(path):
+            raise FormatError(f"output path {path} is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FormatError(f"output path {path}: its directory does not exist")
     dataset = data.load_dataset(cfg["data"])
     spec = model.build_rfbsnet_desk()
     train_cfg = training.TrainConfig(
@@ -242,7 +248,6 @@ def cmd_train(cfg):
 
     params, log = training.train(spec, dataset, train_cfg, progress=progress)
     model.save_checkpoint(cfg["out"], spec, params)
-    log_path = cfg["log"] or cfg["out"] + ".log"
     log.write(log_path)
     best = max(e[2] for e in log.epochs)
     print(f"best val dice {best:.4f}; checkpoint {cfg['out']}, log {log_path}")
@@ -250,8 +255,7 @@ def cmd_train(cfg):
 
 
 def cmd_eval(cfg):
-    dataset = data.load_dataset(cfg["data"])
-    part = dataset.part(cfg["split"])
+    part = data.load_dataset(cfg["data"], cfg["split"]).samples
     if not part:
         raise FormatError(f"split {cfg['split']!r} has no samples")
     spec, params = _load_model(cfg["ckpt"])
@@ -328,7 +332,7 @@ def main(argv=None):
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     try:
-        with warnings.catch_warnings():  # process-wide, so eval's pool threads too
+        with warnings.catch_warnings():  # process-wide, so the worker threads too
             # numpy's overflow warnings would precede the one-line error below
             warnings.simplefilter("ignore", RuntimeWarning)
             cfg = _resolve(args, args.command)

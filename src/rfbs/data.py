@@ -259,7 +259,10 @@ def save_dataset(directory, dataset):
         fh.writelines(lines)
 
 
-def load_dataset(directory):
+def load_dataset(directory, split="all"):
+    """The samples of `directory` in manifest order. Every manifest line is
+    checked (record, repeated id, PGM pair present); only the lines of
+    `split` ("train", "val" or "all") are decoded and mask-checked."""
     manifest = os.path.join(directory, "manifest.tsv")
     if not os.path.isfile(manifest):
         raise FormatError(f"no manifest.tsv in {directory}")
@@ -287,6 +290,8 @@ def load_dataset(directory):
         if not all(os.path.isfile(p) for p in paths):  # False on a NUL in sid too
             raise FormatError(f"manifest.tsv line {lineno}: no img/mask PGM pair "
                               f"for sample {sid!r}")
+        if split not in ("all", part):
+            continue
         image, mask = (read_pgm(p) for p in paths)
         if image.shape != mask.shape:
             raise FormatError(f"sample {sid}: image/mask size mismatch")
@@ -294,6 +299,6 @@ def load_dataset(directory):
             raise FormatError(f"sample {sid}: mask is not binary")
         samples.append(Sample(id=sid, image=image[None, :, :], mask=mask))
         splits.append(part)
-    if not samples:
+    if not seen:
         raise FormatError(f"manifest.tsv in {directory} lists no samples")
     return Dataset(samples=samples, splits=splits)

@@ -10,7 +10,7 @@ Nothing else is supported. All four conv ops (conv2d, transposed_conv2d and
 their VJPs) run one image at a time in one GEMM layout, a shifted-row patch
 matrix: K*K contiguous column slices of the zero-padded, channel-major image
 split into its stride phases (see _shifted_rows); at k2 s2 each tap is one
-whole phase. The images of a batch run on every usable CPU (_each_image):
+whole phase. The images of a batch run on every usable CPU (each_image):
 each image writes only its own output, and the VJPs sum the per-image weight
 gradients in index order once all images are done, so no output depends on
 the CPU count. BLAS itself stays on one thread. Every forward is
@@ -153,27 +153,38 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _each_image(n, fn, *scratch):
+def each_image(n, fn, *scratch, workers=None):
     """[fn(i, *buffers) for i in range(n)], with image i run by participant
-    i % W of W = min(n, usable CPUs): the calling thread is participant 0 and
-    the other W - 1 run on a pool that lives for this call only. Each
-    participant gets its own buffers, one per zero-argument allocator in
-    `scratch`, allocated here in the calling thread. fn must write only what
-    belongs to image i. At n <= 1 nothing is started; at n == 0 nothing is
-    allocated."""
-    workers = n if n < 2 else min(n, _usable_cpus())
+    i % W of W = min(n, workers, else the usable CPUs): the calling thread is
+    participant 0 and the other W - 1 run on a pool that lives for this call
+    only. Each participant gets its own buffers, one per zero-argument
+    allocator in `scratch`, allocated here in the calling thread. fn must
+    write only what belongs to image i. A participant stops at its first
+    error; once all have stopped, the error of the lowest failing image is
+    raised, so the same error surfaces at any W. At n <= 1 nothing is started
+    and the CPU count is not asked; at n == 0 nothing is allocated."""
+    workers = n if n < 2 else min(n, workers or _usable_cpus())
     buffers = [[make() for make in scratch] for _ in range(workers)]
+    results, failed = [None] * n, {}  # failed: image index -> its error
 
     def share(j):
-        return [fn(i, *buffers[j]) for i in range(j, n, workers)]
+        for i in range(j, n, workers):
+            try:
+                results[i] = fn(i, *buffers[j])
+            except Exception as e:
+                failed[i] = e
+                return
 
-    if workers < 2:
-        return share(0) if workers else []
-    with ThreadPoolExecutor(workers - 1) as pool:
-        # map submits every share at once; leaving the block waits for them
-        others = pool.map(share, range(1, workers))
-        shares = [share(0), *others]
-    return [shares[i % workers][i // workers] for i in range(n)]
+    if workers > 1:
+        with ThreadPoolExecutor(workers - 1) as pool:
+            others = pool.map(share, range(1, workers))
+            share(0)
+            list(others)  # reads every result, so no uncaught error is lost
+    elif workers:
+        share(0)
+    if failed:
+        raise failed[min(failed)]
+    return results
 
 
 def conv2d(x, p):
@@ -195,7 +206,7 @@ def conv2d(x, p):
     scratch = [partial(np.empty, (p.cout, hq * wq), x.dtype)]
     if k > 1:
         scratch.append(partial(np.empty, (cin * k * k, span), x.dtype))
-    _each_image(n, one, *scratch)
+    each_image(n, one, *scratch)
     return out
 
 
@@ -234,7 +245,7 @@ def conv2d_vjp(x, p, upstream):
     # one buffer per participant, holding first the patches, then dcols
     scratch = [partial(np.empty, (cin * k * k, span), x.dtype)] if k > 1 else []
     dweight = np.zeros(wmat.shape, dtype=x.dtype)
-    for part in _each_image(n, one, *scratch):  # in image index order
+    for part in each_image(n, one, *scratch):  # in image index order
         dweight += part
     dbias = upstream.sum(axis=(0, 2, 3))
     return dx, dweight.reshape(p.weight.shape), dbias
@@ -292,7 +303,7 @@ def transposed_conv2d(x, p):
         for t in range(4):  # tap (a, b) = divmod(t, 2)
             np.add(taps[:, t], bias, out=out[i, :, t // 2::2, t % 2::2])
 
-    _each_image(n, one, partial(np.empty, (4 * p.cout, h * w), x.dtype))
+    each_image(n, one, partial(np.empty, (4 * p.cout, h * w), x.dtype))
     return out
 
 
@@ -316,7 +327,7 @@ def transposed_conv2d_vjp(x, p, upstream):
         return (cols @ x[i].reshape(cin, -1).T).T
 
     dweight = np.zeros(wmat.shape, dtype=x.dtype)
-    for part in _each_image(n, one, partial(np.empty, (4 * p.cout, h * w), x.dtype)):
+    for part in each_image(n, one, partial(np.empty, (4 * p.cout, h * w), x.dtype)):
         dweight += part  # in image index order
     dweight = dweight.reshape(cin, p.cout, 2, 2).transpose(1, 0, 2, 3)
     return dx, dweight, upstream.sum(axis=(0, 2, 3))

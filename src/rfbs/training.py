@@ -9,13 +9,12 @@ config) triple yields a bit-identical final parameter store and log.
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
 
-from . import metrics, model
+from . import metrics, model, ops
 from .data import Prng, batches, is_binary_mask
 from .errors import NumericsError, ShapeError
 from .model import backward, forward, init_params
@@ -58,6 +57,8 @@ def soft_dice_loss(prob, target, smooth=1.0):
     """
     if not isinstance(prob, np.ndarray) or prob.ndim != 4 or prob.shape[1] != 2:
         raise ShapeError(f"prob must be (N, 2, H, W), got {getattr(prob, 'shape', None)}")
+    if not isinstance(target, np.ndarray):
+        raise ShapeError("target must be a numpy array")
     if target.shape != (prob.shape[0],) + prob.shape[2:]:
         raise ShapeError(
             f"target shape {target.shape} does not match prob {prob.shape}"
@@ -149,23 +150,21 @@ class TrainLog:
             fh.write(self.format_lines())
 
 
-def evaluate(spec, params, samples, workers=1):
+def evaluate(spec, params, samples, workers=None):
     """Score params on samples: a batch-1 forward per sample, its argmax mask
     against the sample's mask, folded into a metrics.MetricsReport in sample
-    order. With workers > 1 the samples run on a thread pool of that size."""
+    order. The samples run on threads by ops.each_image's rule, with at most
+    `workers` threads (default: the usable CPUs)."""
 
-    def score(sample):
+    def score(i):
+        sample = samples[i]
         # the module attribute, looked up per call, so a wrapper installed on
         # model.forward (the benchmark's tracer) sees every forward
         prob, _ = model.forward(spec, params, sample.image[None, :, :, :])
         pred = metrics.argmax_mask(prob, foreground_class=1)[0]
         return metrics.evaluate_image(sample.id, pred, sample.mask)
 
-    if workers == 1:
-        return metrics.aggregate([score(s) for s in samples])
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(score, samples))
-    return metrics.aggregate(results)
+    return metrics.aggregate(ops.each_image(len(samples), score, workers=workers))
 
 
 def train_step(spec, params, state, images, masks, lr, cfg):

@@ -236,7 +236,7 @@ class TestTrain:
 
     def test_outputs_independent_of_cpu_count(self, dataset_dir, tmp_path, monkeypatch):
         digests = []
-        for cpus in (1, 2):
+        for cpus in (1, 2, 3):
             monkeypatch.setattr(ops, "_usable_cpus", lambda: cpus)
             out = tmp_path / f"cpus{cpus}.ckpt"
             assert cli.main(["train", "--data", dataset_dir, "--out", str(out),
@@ -244,7 +244,20 @@ class TestTrain:
             log = out.with_name(out.name + ".log")
             digests.append([hashlib.sha256(f.read_bytes()).hexdigest()
                             for f in (out, log)])
-        assert digests[0] == digests[1]
+        assert digests[1] == digests[0] and digests[2] == digests[0]
+
+    @pytest.mark.parametrize("flag, bad", [("out", "missing/m.ckpt"), ("out", ""),
+                                           ("log", "missing/m.log"), ("log", "")])
+    def test_unwritable_output_refused_before_training(self, dataset_dir, tmp_path,
+                                                       capsys, flag, bad):
+        paths = {"out": str(tmp_path / "m.ckpt"), "log": str(tmp_path / "m.log")}
+        paths[flag] = str(tmp_path / bad)  # a missing directory, or a directory
+        assert cli.main(["train", "--data", dataset_dir, "--out", paths["out"],
+                         "--log", paths["log"], "--epochs", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert paths[flag] in err
+        assert not [line for line in out.splitlines() if line.startswith("epoch")]
+        assert os.listdir(tmp_path) == []
 
     def test_diverging_run_exit_3(self, tmp_path, capsys):
         assert cli.main(["generate", "--out", str(tmp_path / "d"), "--count", "4",
@@ -311,6 +324,22 @@ class TestEval:
                          "--split", "all"]) == 2
         err = capsys.readouterr().err
         assert f"line 11: sample {first!r} is already listed on line 1" in err
+
+    def test_reads_only_the_split_it_scores(self, ckpt, tmp_path, monkeypatch):
+        ds_dir = tmp_path / "d"
+        assert cli.main(["generate", "--out", str(ds_dir), "--count", "12",
+                         "--size", "64", "--seed", "3"]) == 0
+        read_pgm, reads = data.read_pgm, []
+        monkeypatch.setattr(data, "read_pgm", lambda p: reads.append(p) or read_pgm(p))
+        args = ["eval", "--data", str(ds_dir), "--ckpt", ckpt, "--split"]
+        assert cli.main(args + ["val"]) == 0
+        assert len(reads) == 4  # image and mask of the 2 val samples
+        train_id = next(line.split("\t")[0] for line in
+                        (ds_dir / "manifest.tsv").read_text().splitlines()
+                        if line.endswith("train"))
+        (ds_dir / f"img_{train_id}.pgm").write_bytes(b"P5\n")
+        assert cli.main(args + ["val"]) == 0
+        assert cli.main(args + ["all"]) == 2
 
     def test_corrupt_checkpoint_exit_2(self, dataset_dir, tmp_path, ckpt):
         bad = tmp_path / "bad.ckpt"

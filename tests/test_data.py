@@ -273,6 +273,23 @@ class TestDatasetIo:
             data.load_dataset(tmp_path)
 
 
+    def test_split_checks_every_line_and_decodes_its_own(self, tmp_path):
+        data.save_dataset(tmp_path, data.split(data.generate_phantoms(6, 64, seed=3),
+                                               0.5, 3))
+        manifest = (tmp_path / "manifest.tsv").read_text()
+        ids = {part: [line.split("\t")[0] for line in manifest.splitlines()
+                      if line.endswith(part)] for part in ("train", "val")}
+        (tmp_path / f"img_{ids['train'][0]}.pgm").write_bytes(b"P5\n")
+        assert [s.id for s in data.load_dataset(tmp_path, "val").samples] == ids["val"]
+        with pytest.raises(FormatError):
+            data.load_dataset(tmp_path, "train")
+        for extra, error in [("p0000\ttrain\n", "already listed"),
+                             ("p9999\ttrain\n", "no img/mask PGM pair")]:
+            (tmp_path / "manifest.tsv").write_text(manifest + extra)
+            with pytest.raises(FormatError, match=error):
+                data.load_dataset(tmp_path, "val")
+
+
 class TestBinaryMask:
     """data.is_binary_mask is the one rule: the loader, the soft Dice and the
     confusion counts refuse and accept the same masks."""

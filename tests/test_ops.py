@@ -458,6 +458,26 @@ class TestWorkerCount:
             ops.conv2d(x, conv_params(np.ones((1, 2, 3, 3)), np.zeros(1), 1, 1))
         assert wait_for_threads(before)
 
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_lowest_failing_image_wins(self, cpus, monkeypatch):
+        # images 1 and 2 fail on different participants; image 2's may be
+        # raised first, but image 1's error is the one reported
+        patches = ops._patches
+
+        def failing_patches(x, *rest):
+            image = int(x[0, 0, 0])
+            if image in (1, 2):
+                raise RuntimeError(f"patches of image {image}")
+            return patches(x, *rest)
+
+        monkeypatch.setattr(ops, "_patches", failing_patches)
+        monkeypatch.setattr(ops, "_usable_cpus", lambda: cpus)
+        x = np.arange(4, dtype=np.float64)[:, None, None, None] * np.ones((4, 2, 6, 6))
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="image 1$"):
+            ops.conv2d(x, conv_params(np.ones((1, 2, 3, 3)), np.zeros(1), 1, 1))
+        assert wait_for_threads(before)
+
 
 class TestUpsample:
     def test_single_pixel(self):

@@ -70,6 +70,8 @@ class TestSoftDiceLoss:
             training.soft_dice_loss(np.zeros((1, 2, 4, 4)), np.zeros((1, 5, 4)))
         with pytest.raises(ShapeError):
             training.soft_dice_loss(np.zeros((1, 2, 4, 4)), np.full((1, 4, 4), 0.5))
+        with pytest.raises(ShapeError, match="numpy array"):
+            training.soft_dice_loss(np.zeros((1, 2, 4, 4), np.float32), [[0] * 4] * 4)
 
     def test_empty_batch(self):
         with pytest.raises(ShapeError, match="empty batch"):
@@ -190,6 +192,18 @@ class TestEvaluate:
             prob, _ = model.forward(desk_spec, desk_params, s.image[None])
             pred = metrics.argmax_mask(prob, foreground_class=1)[0]
             assert r == metrics.evaluate_image(s.id, pred, s.mask)
+
+    @pytest.mark.parametrize("workers, cpus", [(1, 2), (2, 2), (3, 2),
+                                               (None, 1), (None, 2), (None, 3)])
+    def test_first_failing_sample_wins(self, desk_spec, desk_params, workers, cpus,
+                                       monkeypatch):
+        # samples 1 and 2 fail with different errors; sample 1's is raised
+        monkeypatch.setattr(ops, "_usable_cpus", lambda: cpus)
+        samples = tiny_dataset(n=5, size=32).samples[:4]
+        samples[1].image = np.concatenate([samples[1].image] * 2)
+        samples[2].image = np.full_like(samples[2].image, np.nan)
+        with pytest.raises(ShapeError, match="input has 2 channels"):
+            training.evaluate(desk_spec, desk_params, samples, workers)
 
 
 def tiny_dataset(n=16, size=32, seed=4, fraction=0.8):
