@@ -238,14 +238,37 @@ def _load_model(ckpt_path):
     return spec, params
 
 
-def _check_outputs(*paths):
-    """Refuse, before any work, an output path that is a directory or whose
-    directory does not exist; an empty path is an output not asked for."""
-    for path in filter(None, paths):
+def _log_path(cfg):
+    return cfg["log"] or cfg["out"] + ".log"
+
+
+def _check_outputs(command, cfg, config=""):
+    """Refuse, before any work, an output path that is a directory, whose
+    directory does not exist, that is the same file (after symlinks) as an
+    input (--ckpt, --in, --config) or another output, or that is an existing
+    file inside --data; an empty path is an output not asked for, and
+    generate's --out is the directory it creates."""
+    flags = {"train": ("out", "log"), "infer": ("out", "prob-out")}.get(command, ("tsv",))
+    named = {os.path.realpath(p): f"input --{f} {p}"  # real path -> its name
+             for f, p in [("ckpt", cfg.get("ckpt")), ("in", cfg.get("in")),
+                          ("config", config)] if p}
+    data_dir = os.path.realpath(cfg["data"]) if "data" in cfg else None
+    for flag in flags:
+        path = _log_path(cfg) if flag == "log" else cfg.get(flag)
+        if not path:
+            continue
         if os.path.isdir(path):
             raise FormatError(f"output path {path} is a directory")
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise FormatError(f"output path {path}: its directory does not exist")
+        real = os.path.realpath(path)
+        if real in named:
+            raise FormatError(f"output path {path} is the same file as {named[real]}")
+        in_data = data_dir and os.path.commonpath([data_dir, real]) == data_dir
+        if in_data and os.path.isfile(real):
+            raise FormatError(f"output path {path} is a file of the dataset "
+                              f"--data {cfg['data']}")
+        named[real] = f"output --{flag} {path}"
 
 
 def _write(path, text):
@@ -264,8 +287,7 @@ def cmd_generate(cfg):
 
 
 def cmd_train(cfg):
-    log_path = cfg["log"] or cfg["out"] + ".log"
-    _check_outputs(cfg["out"], log_path)
+    log_path = _log_path(cfg)
     dataset = data.load_dataset(cfg["data"])
     spec = model.build_rfbsnet_desk()
     train_cfg = training.TrainConfig(
@@ -288,7 +310,6 @@ def cmd_train(cfg):
 
 
 def cmd_eval(cfg):
-    _check_outputs(cfg["tsv"])
     part = data.load_dataset(cfg["data"], cfg["split"]).samples
     if not part:
         raise FormatError(f"split {cfg['split']!r} has no samples")
@@ -302,7 +323,6 @@ def cmd_eval(cfg):
 
 
 def cmd_bench(cfg):
-    _check_outputs(cfg["tsv"])
     spec, params = _load_model(cfg["ckpt"])
     report = bench.bench_forward(spec, params, cfg["size"], iters=cfg["iters"],
                                  warmup=cfg["warmup"])
@@ -313,7 +333,6 @@ def cmd_bench(cfg):
 
 
 def cmd_analyze(cfg):
-    _check_outputs(cfg["tsv"])
     spec = model.build_rfbsnet_desk()
     report = analysis.count_flops(spec, (1, spec.in_channels, cfg["size"], cfg["size"]))
     print(analysis.format_table(report), end="")
@@ -323,7 +342,6 @@ def cmd_analyze(cfg):
 
 
 def cmd_infer(cfg):
-    _check_outputs(cfg["out"], cfg["prob-out"])
     spec, params = _load_model(cfg["ckpt"])
     image = data.read_pgm(cfg["in"])
     prob, _ = model.forward(spec, params, image[None, None, :, :])
@@ -374,6 +392,7 @@ def main(argv=None):
             warnings.simplefilter("ignore", RuntimeWarning)
             cfg = _resolve(args, args.command)
             _echo_config(args.command, cfg)
+            _check_outputs(args.command, cfg, getattr(args, "config", ""))
             return _DISPATCH[args.command](cfg)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

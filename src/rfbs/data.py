@@ -79,8 +79,6 @@ class Dataset:
         return len(self.samples)
 
     def part(self, split):
-        if split == "all":
-            return list(self.samples)
         return [s for s, p in zip(self.samples, self.splits) if p == split]
 
 

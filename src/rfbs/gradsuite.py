@@ -124,7 +124,7 @@ def network_check(tol=NET_TOL, coords_per_tensor=6):
     noise sits far below NET_TOL even on gradients near 1e-6."""
     spec = build_rfbsnet_desk()
     params = init_params(spec, seed=_NET_SEED, dtype=np.float64)
-    names = params.names()
+    names = list(params)
     prng = Prng(_NET_SEED ^ 0xD1CE)
     x = _rand(prng, (1, 1, 16, 16), 0.0, 1.0)
     upstream = _rand(prng, (1, spec.num_classes, 16, 16))

@@ -165,35 +165,22 @@ def infer_shapes(spec, input_shape):
         raise ShapeError(f"input shape must have extents >= 1, got {input_shape}")
     _check_input_shape(spec, input_shape)
     n, c, h, w = (int(v) for v in input_shape)
-    params = ParameterStore({name: np.zeros(shape, dtype=np.float32)
-                             for name, shape in parameter_shapes(spec.nodes).items()})
+    params = {name: np.zeros(shape, dtype=np.float32)
+              for name, shape in parameter_shapes(spec.nodes).items()}
     x = np.zeros((0, c, h, w), dtype=np.float32)
     _, tape = _forward(spec, params, x, keep_intermediates=True)
     return {name: (n,) + shape[1:] for name, shape in tape.shapes.items()}
 
 
-class ParameterStore(dict):
-    """Insertion-ordered mapping of parameter name -> array."""
-
-    def names(self):
-        return list(self)
-
-    def total_elements(self):
-        return sum(int(v.size) for v in self.values())
-
-    def copy(self):
-        """A store of copies of the arrays, not only of the mapping."""
-        return ParameterStore({name: value.copy() for name, value in self.items()})
-
-
 def init_params(spec, seed, dtype=np.float32):
-    """He-uniform weights U(-b, b) with b = sqrt(6 / (Cin*Kh*Kw)); zero biases.
+    """He-uniform weights U(-b, b) with b = sqrt(6 / (Cin*Kh*Kw)); zero biases,
+    as a dict of parameter name -> array in parameter order.
 
     Draws come from the SplitMix64 stream, so one seed gives bit-identical
     parameters everywhere.
     """
     prng = Prng(seed)
-    params = ParameterStore()
+    params = {}
     for name, shape in parameter_shapes(spec.nodes).items():
         if name.endswith(".bias"):
             params[name] = np.zeros(shape, dtype=dtype)
@@ -223,7 +210,7 @@ class Tape:
     every node. backward consumes the steps and leaves None."""
 
     spec: ArchitectureSpec
-    params: ParameterStore
+    params: dict
     steps: list
     shapes: dict
 
@@ -451,8 +438,8 @@ def save_checkpoint(path, spec, params):
 
 
 def load_checkpoint(path, expected_spec=None):
-    """Returns (config hash, ParameterStore); validates the hash and every
-    parameter name/shape when expected_spec is given."""
+    """Returns (config hash, dict of parameter name -> array); validates the
+    hash and every parameter name/shape when expected_spec is given."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if len(buf) < 14:
@@ -465,7 +452,7 @@ def load_checkpoint(path, expected_spec=None):
     (cfg_hash,) = struct.unpack_from("<I", buf, 6)
     (count,) = struct.unpack_from("<I", buf, 10)
     pos = 14
-    params = ParameterStore()
+    params = {}
     for _ in range(count):
         if len(buf) < pos + 2:
             raise FormatError("checkpoint: truncated entry header")
@@ -492,7 +479,7 @@ def load_checkpoint(path, expected_spec=None):
                 f"{expected_spec.arch_id} ({expected:#010x})"
             )
         shapes = parameter_shapes(expected_spec.nodes)
-        if params.names() != list(shapes):
+        if list(params) != list(shapes):
             raise FormatError("checkpoint: parameter names do not match architecture")
         for name, value in params.items():
             if value.shape != shapes[name]:

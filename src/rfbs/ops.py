@@ -11,18 +11,18 @@ their VJPs) run one image at a time in one GEMM layout, a shifted-row patch
 matrix: K*K contiguous column slices of the zero-padded, channel-major image
 split into its stride phases (see _shifted_rows); at k2 s2 each tap is one
 whole phase. The images of a batch run on every usable CPU (each_image):
-each image writes only its own output, and the VJPs sum the per-image weight
-gradients in index order once all images are done, so no output depends on
-the CPU count. BLAS itself stays on one thread. Every forward is
-deterministic (bit-identical for identical inputs), ReLU's gradient at
-exactly 0 is 0, and the max-pool VJP recomputes each window's winner from
-its input, breaking ties to the first element in row-major window order.
+each image allocates its own buffers and writes only its own output, and
+the VJPs sum the per-image weight gradients in index order once all images
+are done, so no output depends on the CPU count. BLAS itself stays on one
+thread. Every forward is deterministic (bit-identical for identical
+inputs), ReLU's gradient at exactly 0 is 0, and the max-pool VJP recomputes
+each window's winner from its input, breaking ties to the first element in
+row-major window order.
 """
 
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -129,16 +129,17 @@ def _channel_major(a, pad, hp, wp):
     return out
 
 
-def _patches(x, s, pad, hq, wq, span, taps, cols):
-    """(Cin*K*K, span) patch matrix of one image x (Cin, H, W), written into
-    `cols`, with rows in the weight's own (cin, a, b) order, so the weight
-    needs no reorder; at k == 1 it is the image itself and `cols` is unused."""
+def _patches(x, s, pad, hq, wq, span, taps):
+    """(Cin*K*K, span) patch matrix of one image x (Cin, H, W), with rows in
+    the weight's own (cin, a, b) order, so the weight needs no reorder; at
+    k == 1 it is the image itself, not a copy."""
     c = x.shape[0]
     xp = _channel_major(x, pad, s * hq, s * wq)
     ph = xp.reshape(c, hq, s, wq, s).transpose(2, 4, 0, 1, 3)
     ph = ph.reshape(s * s, c, hq * wq)  # no copy at s == 1
     if len(taps) == 1:
         return ph[0]
+    cols = np.empty((c * len(taps), span), dtype=x.dtype)
     rows = cols.reshape(c, len(taps), span)
     for t, (i, off) in enumerate(taps):
         rows[:, t] = ph[i, :, off:off + span]
@@ -153,24 +154,21 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def each_image(n, fn, *scratch, workers=None):
-    """[fn(i, *buffers) for i in range(n)], with image i run by participant
-    i % W of W = min(n, workers, else the usable CPUs): the calling thread is
+def each_image(n, fn, workers=None):
+    """[fn(i) for i in range(n)], with image i run by participant i % W of
+    W = min(n, workers, else the usable CPUs): the calling thread is
     participant 0 and the other W - 1 run on a pool that lives for this call
-    only. Each participant gets its own buffers, one per zero-argument
-    allocator in `scratch`, allocated here in the calling thread. fn must
-    write only what belongs to image i. A participant stops at its first
-    error; once all have stopped, the error of the lowest failing image is
-    raised, so the same error surfaces at any W. At n <= 1 nothing is started
-    and the CPU count is not asked; at n == 0 nothing is allocated."""
+    only. fn must write only what belongs to image i. A participant stops at
+    its first error; once all have stopped, the error of the lowest failing
+    image is raised, so the same error surfaces at any W. At n <= 1 nothing
+    is started and the CPU count is not asked."""
     workers = n if n < 2 else min(n, workers or _usable_cpus())
-    buffers = [[make() for make in scratch] for _ in range(workers)]
     results, failed = [None] * n, {}  # failed: image index -> its error
 
     def share(j):
         for i in range(j, n, workers):
             try:
-                results[i] = fn(i, *buffers[j])
+                results[i] = fn(i)
             except Exception as e:
                 failed[i] = e
                 return
@@ -191,22 +189,20 @@ def conv2d(x, p):
     """Cross-correlation plus bias; output (N, Cout, Hout, Wout). Runs one
     GEMM per image, so each image's patch matrix stays small."""
     k, hout, wout = _conv_geometry(x, p, "conv2d")
-    n, cin, h, w = x.shape
+    n, _, h, w = x.shape
     s, pad = p.stride, p.padding
     hq, wq, span, taps = _shifted_rows(h, w, k, s, pad)
     wmat = p.weight.reshape(p.cout, -1)
     bias = p.bias[:, None, None]
     out = np.empty((n, p.cout, hout, wout), dtype=x.dtype)
 
-    def one(i, y, cols=None):
-        cols = _patches(x[i], s, pad, hq, wq, span, taps, cols)
+    def one(i):
+        cols = _patches(x[i], s, pad, hq, wq, span, taps)
+        y = np.empty((p.cout, hq * wq), dtype=x.dtype)
         np.matmul(wmat, cols, out=y[:, :span])
         np.add(y.reshape(p.cout, hq, wq)[:, :hout, :wout], bias, out=out[i])
 
-    scratch = [partial(np.empty, (p.cout, hq * wq), x.dtype)]
-    if k > 1:
-        scratch.append(partial(np.empty, (cin * k * k, span), x.dtype))
-    each_image(n, one, *scratch)
+    each_image(n, one)
     return out
 
 
@@ -224,9 +220,9 @@ def conv2d_vjp(x, p, upstream):
     wmat = p.weight.reshape(p.cout, -1)
     dx = np.empty(x.shape, dtype=x.dtype)
 
-    def one(i, cols=None):
+    def one(i):
         """Writes dx[i]; returns image i's weight gradient."""
-        cols = _patches(x[i], s, pad, hq, wq, span, taps, cols)
+        cols = _patches(x[i], s, pad, hq, wq, span, taps)
         # zero upstream on the columns conv2d drops
         up = _channel_major(upstream[i], 0, hq, wq).reshape(p.cout, -1)[:, :span]
         dweight = (cols @ up.T).T
@@ -242,10 +238,8 @@ def conv2d_vjp(x, p, upstream):
         dx[i] = dxp[:, pad:pad + h, pad:pad + w]
         return dweight
 
-    # one buffer per participant, holding first the patches, then dcols
-    scratch = [partial(np.empty, (cin * k * k, span), x.dtype)] if k > 1 else []
     dweight = np.zeros(wmat.shape, dtype=x.dtype)
-    for part in each_image(n, one, *scratch):  # in image index order
+    for part in each_image(n, one):  # in image index order
         dweight += part
     dbias = upstream.sum(axis=(0, 2, 3))
     return dx, dweight.reshape(p.weight.shape), dbias
@@ -297,13 +291,12 @@ def transposed_conv2d(x, p):
     bias = p.bias[:, None, None]
     out = np.empty((n, p.cout, 2 * h, 2 * w), dtype=x.dtype)
 
-    def one(i, y):
-        np.matmul(wmat.T, x[i].reshape(cin, -1), out=y)
-        taps = y.reshape(p.cout, 4, h, w)
+    def one(i):
+        taps = (wmat.T @ x[i].reshape(cin, -1)).reshape(p.cout, 4, h, w)
         for t in range(4):  # tap (a, b) = divmod(t, 2)
             np.add(taps[:, t], bias, out=out[i, :, t // 2::2, t % 2::2])
 
-    each_image(n, one, partial(np.empty, (4 * p.cout, h * w), x.dtype))
+    each_image(n, one)
     return out
 
 
@@ -320,14 +313,14 @@ def transposed_conv2d_vjp(x, p, upstream):
     wmat = p.weight.transpose(1, 0, 2, 3).reshape(cin, -1)
     dx = np.empty(x.shape, dtype=x.dtype)
 
-    def one(i, cols):
+    def one(i):
         """Writes dx[i]; returns image i's weight gradient."""
-        cols = _patches(upstream[i], 2, 0, *rows, cols)
+        cols = _patches(upstream[i], 2, 0, *rows)
         np.matmul(wmat, cols, out=dx[i].reshape(cin, -1))
         return (cols @ x[i].reshape(cin, -1).T).T
 
     dweight = np.zeros(wmat.shape, dtype=x.dtype)
-    for part in each_image(n, one, partial(np.empty, (4 * p.cout, h * w), x.dtype)):
+    for part in each_image(n, one):
         dweight += part  # in image index order
     dweight = dweight.reshape(cin, p.cout, 2, 2).transpose(1, 0, 2, 3)
     return dx, dweight, upstream.sum(axis=(0, 2, 3))

@@ -4,7 +4,7 @@ for both per-epoch validation and `rfbs eval`.
 
 The loss is the probabilistic (soft) Dice complement on the foreground
 channel, averaged over the batch. Determinism contract: a fixed (seed, data,
-config) triple yields a bit-identical final parameter store and log.
+config) triple yields bit-identical final parameters and log.
 """
 
 import math
@@ -183,7 +183,8 @@ def train(spec, dataset, cfg, progress=None):
     backward -> Adam with the step-decayed rate, validation Dice per epoch,
     best-validation parameters retained.
 
-    Returns (best parameter store, TrainLog).
+    Returns (best parameters, TrainLog); the best parameters are copies, as
+    Adam updates the trained arrays in place.
     """
     train_part = dataset.part("train")
     val_part = dataset.part("val")
@@ -196,7 +197,7 @@ def train(spec, dataset, cfg, progress=None):
     epoch_seeds = Prng(cfg.seed ^ _SHUFFLE_TAG)
     log = TrainLog()
     best_dice = float("-inf")
-    best_params = params.copy()
+    best_params = {name: value.copy() for name, value in params.items()}
     global_step = 0
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
@@ -218,7 +219,7 @@ def train(spec, dataset, cfg, progress=None):
         log.epochs.append((epoch, train_loss, val_dice, seconds))
         if val_dice > best_dice:
             best_dice = val_dice
-            best_params = params.copy()
+            best_params = {name: value.copy() for name, value in params.items()}
         if progress is not None:
             progress(epoch, train_loss, val_dice, seconds)
     return best_params, log

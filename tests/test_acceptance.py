@@ -131,7 +131,7 @@ def test_c4_flops_params_cross_checks(desk_spec, tmp_path):
         model.save_checkpoint(path, desk_spec, params)
         _, loaded = model.load_checkpoint(path)
         counted = analysis.count_params(desk_spec).total_params
-        assert counted == loaded.total_elements()
+        assert counted == sum(v.size for v in loaded.values())
         assert analysis.node_params(desk_spec.node("ds_conv")) == 150
         report = analysis.count_flops(desk_spec, (1, 1, 256, 256))
         head = next(n for n in report.nodes if n.name == "head_conv")
@@ -220,7 +220,7 @@ def test_c8_format_round_trips_and_corrupt_files(desk_spec, tmp_path):
         ckpt = tmp_path / "m.ckpt"
         model.save_checkpoint(ckpt, desk_spec, params)
         _, loaded = model.load_checkpoint(ckpt, expected_spec=desk_spec)
-        for name in params.names():
+        for name in params:
             assert loaded[name].tobytes() == params[name].tobytes()
 
         # truncated RFT1 fails cleanly, not with a crash

@@ -97,7 +97,8 @@ class TestBruteForceMacs:
 class TestCrossChecks:
     def test_params_match_init(self, desk_spec):
         counted = analysis.count_params(desk_spec).total_params
-        assert counted == model.init_params(desk_spec, seed=0).total_elements()
+        params = model.init_params(desk_spec, seed=0)
+        assert counted == sum(v.size for v in params.values())
 
 
 class TestReports:

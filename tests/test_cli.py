@@ -1,6 +1,7 @@
 import ctypes
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 import types
@@ -150,6 +151,87 @@ def test_unwritable_output_refused_before_the_work(dataset_dir, ckpt, tmp_path,
     assert os.listdir(out_dir) == ["adir"] and os.listdir(out_dir / "adir") == []
 
 
+@pytest.fixture
+def inputs(dataset_dir, ckpt, tmp_path, monkeypatch):
+    """Runs in tmp_path, which holds a dataset d/, m.ckpt, in.pgm, an empty
+    config c.conf, the symlinks ckpt.lnk -> m.ckpt and o.lnk -> o.pgm (not
+    there yet), with every command's work stubbed to fail; returns a
+    snapshot of tmp_path's files, taken again to check nothing changed."""
+    shutil.copytree(dataset_dir, tmp_path / "d")
+    shutil.copy(ckpt, tmp_path / "m.ckpt")
+    image = data.generate_phantoms(1, 64, seed=6).samples[0].image
+    data.write_pgm(tmp_path / "in.pgm", image)
+    (tmp_path / "c.conf").write_text("# no keys\n")
+    os.symlink("m.ckpt", tmp_path / "ckpt.lnk")
+    os.symlink("o.pgm", tmp_path / "o.lnk")
+    for module, name in [*_WORK.values(), (training, "train")]:
+        monkeypatch.setattr(module, name,
+                            lambda *a, _n=name, **k: pytest.fail(f"{_n} ran"))
+    monkeypatch.chdir(tmp_path)
+
+    def snapshot():
+        return {str(p): p.read_bytes() for p in sorted(tmp_path.rglob("*"))
+                if p.is_file()}
+
+    return snapshot
+
+
+def _refused(snapshot, capsys, args, message):
+    before = snapshot()
+    assert cli.main(args) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: {message}\n"
+    assert all(line.startswith("#") for line in out.splitlines())
+    assert snapshot() == before
+
+
+@pytest.mark.parametrize("args, message", [
+    (["train", "--data", "d", "--out", "o.ckpt", "--log", "o.ckpt"],
+     "output path o.ckpt is the same file as output --out o.ckpt"),
+    (["infer", "--ckpt", "m.ckpt", "--in", "in.pgm", "--out", "o.pgm",
+      "--prob-out", "o.lnk"], "output path o.lnk is the same file as output --out o.pgm"),
+], ids=["train-log-is-out", "infer-prob-out-links-to-out"])
+def test_output_that_is_another_output_refused(inputs, capsys, args, message):
+    _refused(inputs, capsys, args, message)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["eval", "--data", "d", "--ckpt", "m.ckpt", "--tsv", "m.ckpt"],
+     "output path m.ckpt is the same file as input --ckpt m.ckpt"),
+    (["bench", "--ckpt", "m.ckpt", "--tsv", "ckpt.lnk"],
+     "output path ckpt.lnk is the same file as input --ckpt m.ckpt"),
+    (["infer", "--ckpt", "m.ckpt", "--in", "in.pgm", "--out", "in.pgm"],
+     "output path in.pgm is the same file as input --in in.pgm"),
+    (["infer", "--ckpt", "m.ckpt", "--in", "in.pgm", "--out", "o.pgm", "--prob-out",
+      "m.ckpt"], "output path m.ckpt is the same file as input --ckpt m.ckpt"),
+    (["analyze", "--config", "c.conf", "--tsv", "c.conf"],
+     "output path c.conf is the same file as input --config c.conf"),
+    (["train", "--config", "c.conf", "--data", "d", "--out", "o.ckpt", "--log", "c.conf"],
+     "output path c.conf is the same file as input --config c.conf"),
+], ids=["eval-tsv-ckpt", "bench-tsv-links-to-ckpt", "infer-out-in", "infer-prob-out-ckpt",
+        "analyze-tsv-config", "train-log-config"])
+def test_output_that_is_an_input_refused(inputs, capsys, args, message):
+    _refused(inputs, capsys, args, message)
+
+
+@pytest.mark.parametrize("args, path", [
+    (["train", "--data", "d", "--out", "d/manifest.tsv"], "d/manifest.tsv"),
+    (["train", "--data", "d", "--out", "o.ckpt", "--log", "d/img_p0000.pgm"],
+     "d/img_p0000.pgm"),
+    (["eval", "--data", "d/", "--ckpt", "m.ckpt", "--tsv", "d/mask_p0001.pgm"],
+     "d/mask_p0001.pgm"),
+], ids=["train-out", "train-log", "eval-tsv"])
+def test_output_that_is_a_dataset_file_refused(inputs, capsys, args, path):
+    data_flag = args[args.index("--data") + 1]
+    _refused(inputs, capsys, args,
+             f"output path {path} is a file of the dataset --data {data_flag}")
+
+
+def test_new_output_inside_the_dataset_allowed(inputs):
+    cli._check_outputs("eval", {"data": "d", "ckpt": "m.ckpt", "tsv": "d/r.tsv"})
+    cli._check_outputs("train", {"data": "d", "out": "d/m.ckpt", "log": ""})
+
+
 class TestAllocatorPolicy:
     """cli._keep_freed_memory: on glibc, mallopt(M_MMAP_THRESHOLD, 32 MiB) and,
     only if that is accepted, mallopt(M_TRIM_THRESHOLD, 1 GiB)."""
@@ -247,7 +329,7 @@ prob, tape = model.forward(spec, params, images, keep_intermediates=True)
 loss, dprob = training.soft_dice_loss(prob, masks)
 grads = model.backward(tape, dprob)
 h = hashlib.sha256(float(loss).hex().encode())
-for name in params.names():
+for name in params:
     h.update(np.ascontiguousarray(grads[name]).tobytes())
 print(h.hexdigest())
 """
@@ -387,7 +469,7 @@ class TestTrain:
                        "--epochs", "1", "--batch", "4", "--seed", "1"])
         assert rc == 0
         _, params = model.load_checkpoint(out, expected_spec=desk_spec)
-        assert params.total_elements() == 382552
+        assert sum(v.size for v in params.values()) == 382552
         log_lines = (tmp_path / "m.ckpt.log").read_text().strip().split("\n")
         assert any(l.startswith("step\t") for l in log_lines)
         assert any(l.startswith("epoch\t") for l in log_lines)
@@ -471,6 +553,12 @@ class TestEval:
         out = capsys.readouterr().out
         agg = [l for l in out.strip().split("\n") if l.startswith("AGGREGATE")][0]
         assert agg.split("\t")[1] == "1.000000"
+
+    def test_empty_split_exit_2(self, ckpt, tmp_path, capsys):
+        data.save_dataset(tmp_path, data.generate_phantoms(2, 64, seed=1))  # all train
+        assert cli.main(["eval", "--data", str(tmp_path), "--ckpt", ckpt,
+                         "--split", "val"]) == 2
+        assert capsys.readouterr().err == "error: split 'val' has no samples\n"
 
     def test_repeated_manifest_id_exit_2(self, dataset_dir, ckpt, tmp_path, capsys):
         ds_dir = tmp_path / "d"
@@ -578,7 +666,7 @@ class TestAnalyze:
         body, total = rows[:-1], rows[-1]
         assert int(total[4]) == sum(int(r[4]) for r in body)
         _, params = model.load_checkpoint(ckpt, expected_spec=desk_spec)
-        assert int(total[3]) == params.total_elements()
+        assert int(total[3]) == sum(v.size for v in params.values())
 
     def test_huge_size_allocates_no_image(self, capsys):
         # shapes come from a forward on an empty batch: at 65536 one image's

@@ -272,6 +272,11 @@ class TestDatasetIo:
                                               "listed on line 1"):
             data.load_dataset(tmp_path)
 
+    def test_image_mask_size_mismatch_refused(self, tmp_path):
+        data.save_dataset(tmp_path, data.generate_phantoms(2, 64, seed=3))
+        data.write_pgm(tmp_path / "mask_p0001.pgm", np.zeros((32, 64), np.float32))
+        with pytest.raises(FormatError, match="sample p0001: image/mask size mismatch"):
+            data.load_dataset(tmp_path)
 
     def test_split_checks_every_line_and_decodes_its_own(self, tmp_path):
         data.save_dataset(tmp_path, data.split(data.generate_phantoms(6, 64, seed=3),

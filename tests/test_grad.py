@@ -29,7 +29,7 @@ def test_network_check_passes():
     assert report.passed, f"network max rel error {report.max_rel_error:.3e}"
     assert report.tolerance == 1e-5
     # every parameter tensor contributed coordinates
-    n_params = len(model.init_params(model.build_rfbsnet_desk(), seed=0).names())
+    n_params = len(model.init_params(model.build_rfbsnet_desk(), seed=0))
     assert len(report.per_input) == n_params
 
 

@@ -31,7 +31,7 @@ class TestBuild:
         for node in desk_spec.nodes:
             if node.kind in ("conv", "tconv"):
                 expect += node.kernel * node.kernel * node.cin * node.cout + node.cout
-        assert desk_params.total_elements() == expect
+        assert sum(v.size for v in desk_params.values()) == expect
 
     def test_checkpoint_compatible_hash_and_init(self, desk_spec):
         # pinned values: a change here makes earlier checkpoints unloadable
@@ -50,6 +50,32 @@ class TestBuild:
         shapes = model.infer_shapes(desk_spec, (1, 1, 256, 256))
         deepest = min(s[2] for s in shapes.values())
         assert 256 // deepest == 16
+
+
+class TestValidateGraph:
+    def spec(self, nodes, output="c"):
+        return model.ArchitectureSpec(
+            arch_id="t", input_name="x", output_name=output, in_channels=1,
+            num_classes=1, total_downsampling_factor=1, nodes=nodes)
+
+    @pytest.mark.parametrize("nodes, output, error", [
+        ((model.LayerNode("a", "relu", ("x",)), model.LayerNode("a", "relu", ("x",))),
+         "a", "duplicate node name 'a'"),
+        ((model.LayerNode("x", "relu", ("x",)),), "x", "duplicate node name 'x'"),
+        ((model.LayerNode("a", "relu", ("y",)),), "a",
+         "node 'a' consumes unknown/later node 'y'"),
+        ((model.LayerNode("a", "relu", ("b",)), model.LayerNode("b", "relu", ("x",))),
+         "b", "node 'a' consumes unknown/later node 'b'"),
+        ((model.LayerNode("a", "relu", ("x",)),), "probs",
+         "output node 'probs' does not exist"),
+    ], ids=["duplicate", "shadows-input", "unknown", "later", "no-output"])
+    def test_refused(self, nodes, output, error):
+        with pytest.raises(ShapeError, match=error):
+            model._validate_graph(self.spec(nodes, output))
+
+    def test_chain_accepted(self):
+        model._validate_graph(self.spec(
+            (model.LayerNode("a", "relu", ("x",)), model.LayerNode("c", "relu", ("a",)))))
 
 
 class TestInferShapes:
@@ -302,7 +328,7 @@ class TestBackward:
         x = rand_f32((1, 1, 32, 32), seed=73)
         y, tape = model.forward(desk_spec, desk_params, x, keep_intermediates=True)
         grads = model.backward(tape, np.zeros_like(y))
-        assert set(grads) == set(desk_params.names())
+        assert set(grads) == set(desk_params)
         assert all(not g.any() for g in grads.values())
 
     def test_fanout_gradient_accumulates(self):
@@ -544,12 +570,12 @@ class TestInitParams:
     def test_seed_reproducible(self, desk_spec):
         a = model.init_params(desk_spec, seed=42)
         b = model.init_params(desk_spec, seed=42)
-        assert a.names() == b.names()
-        for name in a.names():
+        assert list(a) == list(b)
+        for name in a:
             assert a[name].tobytes() == b[name].tobytes()
 
     def test_biases_zero(self, desk_params):
-        for name in desk_params.names():
+        for name in desk_params:
             if name.endswith(".bias"):
                 assert not desk_params[name].any()
 
@@ -567,27 +593,14 @@ class TestInitParams:
         assert a["ds_conv.weight"].tobytes() != b["ds_conv.weight"].tobytes()
 
 
-class TestParameterStore:
-    def test_copy_copies_the_arrays(self, desk_spec):
-        params = model.init_params(desk_spec, seed=10)
-        before = {name: value.tobytes() for name, value in params.items()}
-        copied = params.copy()
-        assert isinstance(copied, model.ParameterStore)
-        assert copied.names() == params.names()
-        for name in params.names():
-            assert not np.shares_memory(copied[name], params[name])
-            params[name] += 1.0  # in place, as Adam updates
-            assert copied[name].tobytes() == before[name]
-
-
 class TestCheckpoint:
     def test_round_trip_bitwise(self, desk_spec, desk_params, tmp_path):
         path = tmp_path / "m.ckpt"
         model.save_checkpoint(path, desk_spec, desk_params)
         cfg_hash, loaded = model.load_checkpoint(path, expected_spec=desk_spec)
         assert cfg_hash == model.config_hash(desk_spec)
-        assert loaded.names() == desk_params.names()
-        for name in loaded.names():
+        assert list(loaded) == list(desk_params)
+        for name in loaded:
             assert loaded[name].tobytes() == desk_params[name].tobytes()
 
     def test_reload_same_predictions(self, desk_spec, desk_params, tmp_path):
@@ -634,6 +647,26 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes().replace(b"sh_conv.bias", b"ds_conv.bias"))
         with pytest.raises(FormatError, match="duplicate"):
             model.load_checkpoint(path)
+
+    def test_matching_hash_wrong_parameter_name(self, desk_spec, desk_params, tmp_path):
+        # the hash is the expected one, but a parameter is missing, renamed
+        # or out of order
+        path = tmp_path / "m.ckpt"
+        names = list(desk_params)
+        missing = {n: desk_params[n] for n in names[:-1]}
+        for bad in (missing, {**missing, "extra": desk_params[names[-1]]},
+                    {n: desk_params[n] for n in reversed(names)}):
+            model.save_checkpoint(path, desk_spec, bad)
+            with pytest.raises(FormatError, match="parameter names do not match"):
+                model.load_checkpoint(path, expected_spec=desk_spec)
+
+    def test_matching_hash_wrong_parameter_shape(self, desk_spec, desk_params, tmp_path):
+        path = tmp_path / "m.ckpt"
+        bad = dict(desk_params, **{"sh_conv.bias": np.zeros(17, np.float32)})
+        model.save_checkpoint(path, desk_spec, bad)
+        with pytest.raises(FormatError, match=r"sh_conv.bias has shape \(17,\), "
+                                              r"expected \(16,\)"):
+            model.load_checkpoint(path, expected_spec=desk_spec)
 
 
 class TestCheckpointFuzz:

@@ -290,6 +290,18 @@ class TestTransposedConv:
         assert dw.ravel().tolist() == [3, 3, 3, 3]
         assert db.item() == 4.0  # sum of upstream per channel
 
+    @pytest.mark.parametrize("shape, dtype", [((1, 2, 4, 4), np.float64),
+                                              ((2, 3, 4, 4), np.float64),
+                                              ((1, 3, 4, 6), np.float64),
+                                              ((1, 3, 4, 4), np.float32)])
+    def test_vjp_upstream_checked(self, shape, dtype):
+        # the forward's output is (1, 3, 4, 4) float64
+        x = np.zeros((1, 2, 2, 2), np.float64)
+        p = conv_params(np.zeros((3, 2, 2, 2), np.float64), np.zeros(3, np.float64),
+                        stride=2)
+        with pytest.raises(ShapeError, match=r"upstream must be \(1, 3, 4, 4\) float64"):
+            ops.transposed_conv2d_vjp(x, p, np.zeros(shape, dtype))
+
     def test_vjp_dbias_is_upstream_sum(self):
         x = rand_f64((2, 3, 3, 3), seed=41)
         p = conv_params(rand_f64((2, 3, 2, 2), seed=42), rand_f64((2,), seed=43),
@@ -526,6 +538,11 @@ class TestRelu:
         x = from_values([1], [0.0])
         assert ops.relu_vjp(x, from_values([1], [7.0])).item() == 0.0
 
+    def test_vjp_shape_mismatch(self):
+        # np.where would broadcast (1, 2) against (2, 2)
+        with pytest.raises(ShapeError, match="relu_vjp: shape mismatch"):
+            ops.relu_vjp(np.ones((2, 2)), np.ones((1, 2)))
+
     @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(width=32)),
                     min_size=1, max_size=16),
            st.sampled_from([np.float32, np.float64]))
@@ -558,6 +575,11 @@ class TestSoftmax:
         y = ops.softmax_channels(x)
         assert ((y >= 0) & (y <= 1)).all()
         assert np.abs(y.sum(axis=1) - 1.0).max() <= 1e-6
+
+    def test_vjp_shape_mismatch(self):
+        y = ops.softmax_channels(np.zeros((1, 2, 3, 3)))
+        with pytest.raises(ShapeError, match="softmax vjp: shape mismatch"):
+            ops.softmax_channels_vjp(y, np.ones((1, 2, 1, 3)))
 
 
 class TestShapeLaws:

@@ -6,7 +6,6 @@ import pytest
 
 from rfbs import data, metrics, model, ops, training
 from rfbs.errors import NumericsError, ShapeError
-from rfbs.model import ParameterStore
 
 from conftest import rand_f64
 
@@ -113,13 +112,13 @@ class TestLrSchedule:
             training.TrainConfig(initial_lr=lr)
 
 
-def scalar_store(value, dtype=np.float64):
-    return ParameterStore(w=np.array([value], dtype=dtype))
+def scalar_params(value, dtype=np.float64):
+    return {"w": np.array([value], dtype=dtype)}
 
 
 class TestAdam:
     def test_first_step_analytic(self):
-        params = scalar_store(1.0)
+        params = scalar_params(1.0)
         state = training.AdamState(params)
         training.adam_step(params, {"w": np.array([0.1])}, state, lr=1e-4)
         # bias correction makes mhat = g and vhat = g^2 on step 1
@@ -128,14 +127,14 @@ class TestAdam:
         assert state.t == 1
 
     def test_zero_gradient_no_move(self):
-        params = scalar_store(3.5)
+        params = scalar_params(3.5)
         state = training.AdamState(params)
         training.adam_step(params, {"w": np.zeros(1)}, state, lr=1e-2)
         assert params["w"][0] == 3.5
 
     def test_deterministic(self):
         def run():
-            params = scalar_store(1.0)
+            params = scalar_params(1.0)
             state = training.AdamState(params)
             for i in range(50):
                 g = np.array([math.sin(i)])
@@ -145,19 +144,19 @@ class TestAdam:
         assert run() == run()
 
     def test_non_finite_gradient_reported(self):
-        params = scalar_store(1.0)
+        params = scalar_params(1.0)
         state = training.AdamState(params)
         with pytest.raises(NumericsError, match="w"):
             training.adam_step(params, {"w": np.array([np.nan])}, state, lr=1e-3)
 
     def test_shape_mismatch(self):
-        params = scalar_store(1.0)
+        params = scalar_params(1.0)
         state = training.AdamState(params)
         with pytest.raises(ShapeError):
             training.adam_step(params, {"w": np.zeros(2)}, state, lr=1e-3)
 
     def test_missing_gradient(self):
-        params = scalar_store(1.0)
+        params = scalar_params(1.0)
         state = training.AdamState(params)
         with pytest.raises(ShapeError):
             training.adam_step(params, {}, state, lr=1e-3)
@@ -175,7 +174,7 @@ class TestAdam:
             return [s[name].tobytes() for s in stores for name in params], state.t
 
         before = snapshot()
-        last = params.names()[-1]
+        last = list(params)[-1]
         grads[last] = grads[last].copy()
         grads[last][0] = np.nan
         with pytest.raises(NumericsError, match=last):
@@ -238,7 +237,7 @@ class TestTrain:
         params_b, log_b = training.train(desk_spec, ds, cfg)
         assert log_a.steps == log_b.steps
         assert [e[:3] for e in log_a.epochs] == [e[:3] for e in log_b.epochs]
-        for name in params_a.names():
+        for name in params_a:
             assert params_a[name].tobytes() == params_b[name].tobytes()
 
     def test_loss_decreases_on_phantoms(self, desk_spec):
@@ -255,6 +254,24 @@ class TestTrain:
         best_logged = max(e[2] for e in log.epochs)
         rescored = training.evaluate(desk_spec, best, ds.part("val")).mean_dice
         assert rescored == best_logged
+
+    def test_best_params_copy_the_arrays(self, desk_spec, monkeypatch):
+        # Adam updates the trained arrays in place; the kept ones must not move
+        trained = {}
+
+        def init(*args, **kwargs):
+            trained.update(model.init_params(*args, **kwargs))
+            return trained
+
+        monkeypatch.setattr(training, "init_params", init)
+        cfg = training.TrainConfig(batch_size=4, epochs=1, seed=2)
+        best, _ = training.train(desk_spec, tiny_dataset(n=12, size=32), cfg)
+        assert list(best) == list(trained)
+        before = {name: value.tobytes() for name, value in best.items()}
+        for name, value in trained.items():
+            assert not np.shares_memory(best[name], value)
+            value += 1.0
+            assert best[name].tobytes() == before[name]
 
     def test_previous_tape_freed_before_next_forward(self, desk_spec, monkeypatch):
         forward = training.forward
