@@ -2,18 +2,20 @@
 
 Conventions (stated in every report header): one multiply-accumulate counts
 as 2 FLOPs, bias adds are included, accounting is per image (batch 1).
-conv/tconv: 2*Kh*Kw*Cin*Cout*Hout*Wout + Cout*Hout*Wout. maxpool 2x2: 3
-comparisons per output element. relu and add: 1 per element. softmax: 4*C per
-pixel. upsample and concat: 0.
+At every output pixel, each weight element of model.parameter_shapes costs 2
+FLOPs and each bias element 1. Per output element, maxpool 2x2 costs 3
+comparisons, relu and add 1, softmax 4; upsample and concat cost 0.
 """
 
 import math
 from dataclasses import dataclass
 
-from .errors import ShapeError
 from .model import infer_shapes, parameter_shapes
 
 FLOP_CONVENTION = "MAC=2, bias adds included, per-image (N=1)"
+
+# FLOPs per output element of the parameter-free kinds; absent kinds cost 0.
+_ELEMENT_FLOPS = {"maxpool": 3, "relu": 1, "add": 1, "softmax": 4}
 
 
 @dataclass(frozen=True)
@@ -53,19 +55,11 @@ def count_params(spec):
 
 def _node_flops(node, out_shape):
     _, c, h, w = out_shape
-    spatial = h * w
-    if node.kind in ("conv", "tconv"):
-        k = node.kernel
-        return 2 * k * k * node.cin * node.cout * spatial + node.cout * spatial
-    if node.kind == "maxpool":
-        return 3 * c * spatial
-    if node.kind in ("relu", "add"):
-        return c * spatial
-    if node.kind == "softmax":
-        return 4 * c * spatial
-    if node.kind in ("upsample_nearest", "concat"):
-        return 0
-    raise ShapeError(f"unknown node kind {node.kind!r}")
+    per_pixel = sum(
+        math.prod(shape) * (2 if name.endswith(".weight") else 1)
+        for name, shape in parameter_shapes([node]).items()
+    )
+    return (per_pixel + _ELEMENT_FLOPS.get(node.kind, 0) * c) * h * w
 
 
 def count_flops(spec, input_shape):
@@ -89,35 +83,30 @@ def _shape_str(shape):
     return "x".join(str(d) for d in shape)
 
 
+def _rows(report):
+    """node, kind, out_shape, params, flops for every node, then the TOTAL row."""
+    total = ["TOTAL", "", "", str(report.total_params), str(report.total_flops)]
+    return [
+        [n.name, n.kind, _shape_str(n.out_shape), str(n.params), str(n.flops)]
+        for n in report.nodes
+    ] + [total]
+
+
 def format_table(report):
     """Aligned human-readable table with a totals row."""
     header = ["node", "kind", "out_shape", "params", "flops"]
-    rows = [
-        [n.name, n.kind, _shape_str(n.out_shape), str(n.params), str(n.flops)]
-        for n in report.nodes
-    ]
-    rows.append(
-        ["TOTAL", "", "", str(report.total_params), str(report.total_flops)]
-    )
-    widths = [
-        max(len(header[i]), max(len(r[i]) for r in rows)) for i in range(5)
-    ]
+    rows = [header] + _rows(report)
+    widths = [max(len(r[i]) for r in rows) for i in range(5)]
     lines = [
         f"# flop convention: {FLOP_CONVENTION}",
         f"# input: {_shape_str(report.input_shape)}",
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(header)),
     ]
-    for row in rows:
-        lines.append("  ".join(v.ljust(widths[i]) for i, v in enumerate(row)))
+    lines += ["  ".join(v.ljust(w) for v, w in zip(row, widths)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
 def format_tsv(report):
     """Machine-readable rows: node, kind, out_shape, params, flops."""
     lines = [f"# flop convention: {FLOP_CONVENTION}"]
-    for n in report.nodes:
-        lines.append(
-            f"{n.name}\t{n.kind}\t{_shape_str(n.out_shape)}\t{n.params}\t{n.flops}"
-        )
-    lines.append(f"TOTAL\t\t\t{report.total_params}\t{report.total_flops}")
+    lines += ["\t".join(row) for row in _rows(report)]
     return "\n".join(lines) + "\n"

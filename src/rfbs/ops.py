@@ -405,7 +405,7 @@ def grad_check(
     f,
     vjp,
     inputs,
-    input_names=None,
+    input_names,
     upstream=None,
     tol=1e-6,
     max_coords=None,
@@ -416,16 +416,14 @@ def grad_check(
 
     All inputs must be float64. `f(*inputs)` returns an array, possibly of a
     wider float dtype; the central differences are taken in that dtype.
-    `vjp(*inputs, upstream)` returns one gradient array per input. With
-    max_coords set, a seeded subset of coordinates per input is checked
-    instead of every coordinate.
+    `vjp(*inputs, upstream)` returns one gradient array per input, reported
+    under the matching entry of `input_names`. With max_coords set, a seeded
+    subset of coordinates per input is checked instead of every coordinate.
     """
     inputs = [np.asarray(v) for v in inputs]
     for v in inputs:
         if v.dtype != np.float64:
             raise ShapeError("grad_check requires float64 inputs")
-    if input_names is None:
-        input_names = [f"input{i}" for i in range(len(inputs))]
     y = f(*inputs)
     if not np.isfinite(y).all():
         raise NumericsError(f"grad_check({op}): non-finite forward output")

@@ -37,6 +37,10 @@ class TestBenchForward:
         assert report.iterations == 5
         assert len(report.times_ms) == 5  # warmup excluded
 
+    def test_zero_iters_refused(self, desk_spec, desk_params):
+        with pytest.raises(ShapeError, match="need iters >= 1"):
+            bench.bench_forward(desk_spec, desk_params, 32, iters=0)
+
     def test_mean_within_bounds(self, report):
         assert report.min_ms <= report.mean_ms <= report.max_ms
 

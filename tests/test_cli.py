@@ -757,3 +757,48 @@ class TestGradcheck:
 
     def test_bad_scale(self):
         assert cli.main(["gradcheck", "--scale", "huge"]) == 1
+
+    def test_self_test_corrupt_false(self, capsys):
+        assert cli.main(["gradcheck", "--self-test-corrupt", "false"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_self_test_corrupt_not_a_boolean(self, capsys):
+        assert cli.main(["gradcheck", "--self-test-corrupt", "maybe"]) == 1
+        assert "usage error" in capsys.readouterr().err
+
+
+def _digest(blob):
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def test_cli_recipe_golden_digests(tmp_path):
+    """What the small CLI recipe computes, pinned at the default BLAS core.
+
+    Recorded with numpy 2.4.6 and OpenBLAS 0.3.31 (core SkylakeX); two hosts
+    that read different digests for a batch-8 256x256 step read these. A
+    one-ulp change in training (conv2d_vjp summing its per-image weight
+    gradients in reverse order) moves the checkpoint and the log; the eval
+    records, rounded to 6 dp, stay."""
+    d, ckpt = tmp_path / "d", tmp_path / "m.ckpt"
+    steps = [
+        ["generate", "--out", d, "--count", "12", "--size", "64", "--seed", "3"],
+        ["train", "--data", d, "--out", ckpt, "--epochs", "2", "--batch", "4",
+         "--seed", "5"],
+        ["analyze", "--size", "256"],
+        ["eval", "--data", d, "--ckpt", ckpt, "--split", "val"],
+    ]
+    procs = [run_cli([str(a) for a in args]) for args in steps]
+    assert [p.returncode for p in procs] == [0, 0, 0, 0], [p.stderr for p in procs]
+    records = "".join(line + "\n" for line in procs[3].stdout.splitlines()
+                      if not line.startswith("#"))
+    assert {
+        "checkpoint": _digest(ckpt.read_bytes()),
+        "log": _digest((tmp_path / "m.ckpt.log").read_bytes()),
+        "analyze": _digest(procs[2].stdout.encode()),
+        "eval": _digest(records.encode()),
+    } == {
+        "checkpoint": "b9ebe480ead7d564",
+        "log": "09b059d88e04673d",
+        "analyze": "1fc57636a3fe0303",
+        "eval": "16de8a8b2cf9d5be",
+    }

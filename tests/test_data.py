@@ -115,6 +115,17 @@ class TestPgm:
         with pytest.raises(ShapeError):
             data.write_pgm(tmp_path / "bad.pgm", np.zeros((2, 2, 2), np.float32))
 
+    def test_write_rank_4_refused(self, tmp_path):
+        with pytest.raises(ShapeError, match=r"must be \(H, W\) or \(1, H, W\)"):
+            data.write_pgm(tmp_path / "bad.pgm", np.zeros((1, 1, 4, 4), np.float32))
+        assert not (tmp_path / "bad.pgm").exists()
+
+    def test_degenerate_size(self, tmp_path):
+        path = tmp_path / "empty.pgm"
+        path.write_bytes(b"P5\n0 4\n255\n")
+        with pytest.raises(FormatError, match="degenerate size 0x4"):
+            data.read_pgm(path)
+
 
 class TestPhantoms:
     def test_deterministic(self):
@@ -176,6 +187,10 @@ class TestSplit:
         with pytest.raises(ShapeError):
             data.split(data.generate_phantoms(1, 64, seed=0), 0.8, seed=0)
 
+    def test_fraction_outside_the_unit_interval(self):
+        with pytest.raises(ShapeError, match=r"must be in \(0, 1\), got 1.5"):
+            data.split(data.generate_phantoms(4, 64, seed=0), 1.5, seed=0)
+
     @pytest.mark.parametrize("n,fraction", [(2, 0.8), (2, 0.1), (10, 0.04), (10, 0.96)])
     def test_empty_part_refused(self, n, fraction):
         # the rounded train count is 0 or n: one part would be empty
@@ -192,6 +207,14 @@ class TestBatches:
         assert len(out) == 2
         assert all(img.shape == (8, 1, 64, 64) for img, _ in out)
         assert all(m.shape == (8, 64, 64) for _, m in out)
+
+    def test_empty_sample_list_refused(self):
+        with pytest.raises(ShapeError, match="empty sample list"):
+            next(data.batches([], 4, epoch_seed=0))
+
+    def test_zero_batch_size_refused(self):
+        with pytest.raises(ShapeError, match="batch_size must be >= 1, got 0"):
+            next(data.batches(self._ds(2), 0, epoch_seed=0))
 
     def test_partial_batch_kept(self):
         sizes = [img.shape[0] for img, _ in data.batches(self._ds(17), 8, epoch_seed=0)]
@@ -237,6 +260,13 @@ class TestDatasetIo:
         for orig, loaded in zip(ds.samples, back.samples):
             assert loaded.mask.tobytes() == orig.mask.tobytes()  # {0,1} exact
             assert np.abs(loaded.image - orig.image).max() <= 1.0 / 510.0 + 1e-7
+
+    def test_blank_line_between_records_skipped(self, tmp_path):
+        data.save_dataset(tmp_path, data.generate_phantoms(2, 64, seed=8))
+        (tmp_path / "manifest.tsv").write_text("p0000\ttrain\n\np0001\ttrain\n")
+        back = data.load_dataset(tmp_path)
+        assert [s.id for s in back.samples] == ["p0000", "p0001"]
+        assert back.splits == ["train", "train"]
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FormatError):

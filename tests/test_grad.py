@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rfbs import gradsuite, ops
-from rfbs.errors import ShapeError
+from rfbs.errors import NumericsError, ShapeError
 
 from conftest import rand_f64
 
@@ -50,7 +50,19 @@ def test_grad_check_requires_f64():
         return (up,)
 
     with pytest.raises(ShapeError):
-        ops.grad_check("identity", f, vjp, [x])
+        ops.grad_check("identity", f, vjp, [x], ["x"])
+
+
+def test_grad_check_refuses_non_finite_forward():
+    x = rand_f64((1, 1, 2, 2), seed=63)
+    with pytest.raises(NumericsError, match="non-finite forward output"):
+        ops.grad_check("nan", lambda x_: x_ * np.nan, lambda x_, up: (up,), [x], ["x"])
+
+
+def test_grad_check_refuses_non_finite_gradient():
+    x = rand_f64((1, 1, 2, 2), seed=64)
+    with pytest.raises(NumericsError, match="non-finite gradient for x"):
+        ops.grad_check("nan", lambda x_: x_, lambda x_, up: (up * np.nan,), [x], ["x"])
 
 
 def test_grad_check_report_fields():

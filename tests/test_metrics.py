@@ -46,6 +46,10 @@ class TestConfusion:
         with pytest.raises(ShapeError):
             metrics.confusion(np.full((2, 2), 0.5, np.float32), np.zeros((2, 2), np.float32))
 
+    def test_negative_count_refused(self):
+        with pytest.raises(ShapeError, match="non-negative"):
+            metrics.ConfusionCounts(-1, 0, 0, 0)
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             metrics.confusion(np.zeros((2, 2), np.float32), np.zeros((2, 3), np.float32))
@@ -135,6 +139,10 @@ class TestArgmaxMask:
         by_threshold = (fg[:, 0] > 0.5).astype(np.float32)
         ties = fg[:, 0] == 0.5
         assert np.array_equal(by_argmax[~ties[None][0]], by_threshold[~ties[None][0]])
+
+    def test_rank_3_refused(self):
+        with pytest.raises(ShapeError, match="NCHW"):
+            metrics.argmax_mask(np.zeros((2, 2, 2), np.float32), 1)
 
     def test_class_out_of_range(self):
         with pytest.raises(ShapeError):

@@ -45,6 +45,11 @@ class TestBuild:
             "5114ea3f09c1f16b99a820350285e2ffc5cfd07fd4bd252a1212b2656ae6927c"
         )
 
+    def test_node_lookup(self, desk_spec):
+        assert desk_spec.node("ds_conv").kind == "conv"
+        with pytest.raises(KeyError):
+            desk_spec.node("missing")
+
     def test_total_downsampling_factor(self, desk_spec):
         assert desk_spec.total_downsampling_factor == 16
         shapes = model.infer_shapes(desk_spec, (1, 1, 256, 256))
@@ -201,6 +206,10 @@ class TestForward:
     def test_rejects_non_nchw_input(self, desk_spec, desk_params):
         with pytest.raises(ShapeError, match="rank-4"):
             model.forward(desk_spec, desk_params, np.zeros((32, 32), np.float32))
+
+    def test_rejects_a_list(self, desk_spec, desk_params):
+        with pytest.raises(ShapeError, match="rank-4 NCHW array"):
+            model.forward(desk_spec, desk_params, np.zeros((1, 1, 32, 32)).tolist())
 
     def test_rejects_bad_extents(self, desk_spec, desk_params):
         with pytest.raises(ShapeError, match="multiples of 16"):

@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 import threading
 import time
@@ -610,3 +611,28 @@ class TestShapeLaws:
         p = conv_params(np.zeros((2, c, 2, 2), np.float32), np.zeros(2, np.float32),
                         stride=2)
         assert ops.transposed_conv2d(x, p).shape == (1, 2, 2 * h, 2 * w)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("weight, bias, match", [
+        (np.zeros((1, 1, 3)), np.zeros(1), r"weight must be \(Cout, Cin, K, K\)"),
+        (np.zeros((2, 1, 3, 3)), np.zeros(3), "does not match Cout 2"),
+        (np.zeros((1, 1, 3, 3)), np.zeros(1, np.float32), "dtype mismatch"),
+    ], ids=["rank-3 weight", "bias length", "mixed dtypes"])
+    def test_conv_params(self, weight, bias, match):
+        with pytest.raises(ShapeError, match=match):
+            ops.Conv2dParams(weight, bias)
+
+    @pytest.mark.parametrize("op", [
+        lambda x: ops.conv2d(x, conv_params(np.zeros((1, 1, 3, 3), np.float32),
+                                            np.zeros(1, np.float32), 1, 1)),
+        ops.maxpool2x2, ops.nearest_upsample2x, ops.softmax_channels,
+    ], ids=["conv2d", "maxpool2x2", "nearest_upsample2x", "softmax_channels"])
+    def test_rank_3_input(self, op):
+        with pytest.raises(ShapeError, match="rank-4 NCHW array"):
+            op(np.zeros((1, 4, 4), np.float32))
+
+    def test_usable_cpus_without_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert ops._usable_cpus() == 5

@@ -37,6 +37,10 @@ class TestCheckShape:
         with pytest.raises(ShapeError):
             tensor.check_shape([2**31])
 
+    def test_as_tensor_refuses_a_list(self):
+        with pytest.raises(ShapeError, match="must be a numpy array, got list"):
+            tensor.as_tensor([1.0, 2.0])
+
 
 class TestElementwiseAdd:
     # the engine adds tensors only at an `add` node of the graph

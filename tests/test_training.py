@@ -312,6 +312,17 @@ class TestTrain:
         with pytest.raises(ShapeError):
             training.train(desk_spec, ds, training.TrainConfig(epochs=1))
 
+    def test_requires_training_samples(self, desk_spec):
+        samples = data.generate_phantoms(4, 64, seed=0).samples
+        ds = data.Dataset(samples=samples, splits=["val"] * 4)
+        with pytest.raises(ShapeError, match="no training samples"):
+            training.train(desk_spec, ds, training.TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("field", ["batch_size", "epochs"])
+    def test_config_refuses_zero(self, field):
+        with pytest.raises(ShapeError, match=f"{field} must be >= 1, got 0"):
+            training.TrainConfig(**{field: 0})
+
     def test_log_lines_format(self, desk_spec):
         ds = tiny_dataset(n=8, size=32)
         cfg = training.TrainConfig(batch_size=8, epochs=1, seed=3)
